@@ -456,9 +456,11 @@ impl CRaftNode {
 
     fn deactivate_global(&mut self, out: &mut Actions<CRaftMessage>) {
         // Global reads routed through this (former) leader can no longer be
-        // confirmed here; tell their gateways to retry.
-        let waiters: Vec<((SessionId, u64), NodeId)> =
+        // confirmed here; tell their gateways to retry. Reply in key order,
+        // not hash order, so the sends are the same in every process.
+        let mut waiters: Vec<((SessionId, u64), NodeId)> =
             self.global_read_waiters.drain().collect();
+        waiters.sort_unstable_by_key(|&(key, _)| key);
         for ((session, seq), waiter) in waiters {
             self.reply_waiter(waiter, session, seq, ClientOutcome::Retry, out);
         }
@@ -1062,6 +1064,36 @@ mod tests {
         let mut node = batch_node(10, 100);
         buf_items(&mut node, 1, 200);
         assert_eq!(node.next_batch_cut(), Some(1));
+    }
+
+    #[test]
+    fn deactivation_retries_global_read_waiters_in_key_order() {
+        let mut node = batch_node(10, 0);
+        // Enough remote waiters that hash order matching key order by
+        // chance is negligible.
+        for i in (0..32u64).rev() {
+            let waiter = NodeId(1 + i % 4);
+            node.global_read_waiters.insert((SessionId(i % 8), i / 8), waiter);
+        }
+        let mut out = Actions::new();
+        node.deactivate_global(&mut out);
+        let sent: Vec<(SessionId, u64)> = out
+            .sends
+            .iter()
+            .map(|(_, msg)| match msg {
+                CRaftMessage::Local(FastRaftMessage::ClientReply {
+                    session,
+                    seq,
+                    outcome: ClientOutcome::Retry,
+                }) => (*session, *seq),
+                other => panic!("unexpected send {other:?}"),
+            })
+            .collect();
+        let mut want = sent.clone();
+        want.sort_unstable();
+        assert_eq!(sent.len(), 32);
+        assert_eq!(sent, want);
+        assert!(node.global_read_waiters.is_empty());
     }
 
     #[test]

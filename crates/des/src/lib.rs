@@ -7,6 +7,11 @@
 //!   (ties broken by scheduling order) and O(1) amortized cancellation;
 //! - [`SimRng`]: seeded randomness with labelled [`SimRng::split`]ting so
 //!   component streams stay independent as the code evolves;
+//! - [`TimerQueue`]: keyed timers (re-scheduling a key replaces its
+//!   deadline) in a lazy-deletion binary heap — O(log n) schedule and fire,
+//!   O(1) cancel, tombstones bounded by periodic rebuild — so one
+//!   simulation event can drive thousands of timers in deterministic
+//!   `(deadline, schedule order)` order;
 //! - [`Simulation`]: clock + queue + RNG with a step-limit livelock guard;
 //! - [`TraceBuffer`]: bounded trace capture for debugging runs.
 //!
@@ -50,4 +55,4 @@ pub use rng::SimRng;
 pub use sim::Simulation;
 pub use time::{SimDuration, SimTime};
 pub use trace::{TraceBuffer, TraceRecord};
-pub use wheel::TimerWheel;
+pub use wheel::TimerQueue;

@@ -1,128 +1,86 @@
-//! A hierarchical timer wheel.
+//! A keyed timer queue: a lazy-deletion binary heap.
 //!
-//! The simulation heap ([`crate::EventQueue`]) charges O(log n) per
-//! schedule/cancel and keeps one heap entry alive per armed timer. That is
-//! fine for a handful of nodes, but a sharded process multiplexing
-//! thousands of consensus groups arms (and mostly cancels) timers at a rate
-//! proportional to *traffic*, and holds armed-but-never-firing election
-//! timers proportional to *groups*. The wheel gives:
+//! A sharded process multiplexes thousands of consensus groups and arms,
+//! re-arms and cancels their timers at a rate proportional to traffic.
+//! Each timer is named by an opaque key, and scheduling a key again
+//! *replaces* its previous deadline, matching the [`crate::TimerKind`]-
+//! replacement contract of the sans-IO stack. [`TimerQueue`] gives:
 //!
-//! - O(1) `schedule` / `cancel` / `deadline_of` keyed by an opaque timer
-//!   key (re-scheduling a key replaces its previous deadline, matching the
-//!   [`crate::TimerKind`]-replacement contract of the sans-IO stack);
-//! - slot occupancy bitmaps (one `u64` per level), so advancing virtual
-//!   time across an idle stretch skips empty regions in O(levels) instead
-//!   of visiting every tick — an idle group whose timers were removed
-//!   contributes *zero* work to every future advance;
+//! - O(log n) [`TimerQueue::schedule`] and per-timer firing;
+//! - O(1) [`TimerQueue::cancel`] and [`TimerQueue::deadline_of`];
 //! - deterministic expiry order: timers fire sorted by `(deadline,
-//!   schedule sequence)`, independent of wheel internals, so two runs with
-//!   the same inputs produce identical schedules.
+//!   schedule sequence)`, so two runs with the same inputs produce
+//!   identical schedules. A rescheduled key takes a fresh sequence
+//!   number, so it fires after keys armed earlier for the same instant.
 //!
-//! The embedding arms **one** simulator event at [`TimerWheel::next_deadline`]
-//! and calls [`TimerWheel::advance`] when it fires — the wheel replaces
-//! per-timer heap events entirely.
+//! Internally the heap holds `(deadline, seq, key)` entries next to a map
+//! from each live key to its current `(seq, deadline)`. Cancelling or
+//! rescheduling only updates the map; the superseded heap entry becomes a
+//! tombstone that [`TimerQueue::next_deadline`] and
+//! [`TimerQueue::advance`] discard when it reaches the top. Once stored
+//! entries exceed `2 × live + 64`, `schedule` rebuilds the heap from the
+//! live entries, so tombstones cost amortized O(1) each and memory stays
+//! proportional to the live timers.
 //!
-//! Internally: `LEVELS` wheels of 64 slots each, level `l` slots spanning
-//! `64^l` ticks (1 tick = 1 µs), entries placed by distance from the
-//! current tick and cascaded down as time approaches. Deadlines beyond the
-//! top level's span are clamped and re-cascaded when reached, so arbitrary
-//! far-future deadlines are legal.
+//! The embedding arms **one** simulator event at
+//! [`TimerQueue::next_deadline`] and calls [`TimerQueue::advance`] when it
+//! fires, instead of one simulator event per timer.
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 use std::hash::Hash;
 
 use crate::SimTime;
 
-const SLOT_BITS: u32 = 6;
-const SLOTS: usize = 1 << SLOT_BITS; // 64
-/// Number of levels. Level `LEVELS-1` slots span `64^(LEVELS-1)` µs;
-/// with 7 levels the wheel addresses ~50 days before clamping.
-const LEVELS: usize = 7;
+/// A heap entry: `Reverse((deadline, seq, key))`, earliest first. `seq`
+/// is unique, so the key never decides the order.
+type Entry<K> = Reverse<(SimTime, u64, K)>;
 
-#[derive(Clone, Debug)]
-struct WheelEntry<K> {
-    key: K,
-    /// Exact expiry instant (never rounded; slots only bound it).
-    deadline: SimTime,
-    /// Monotone schedule sequence — the deterministic tiebreak.
-    seq: u64,
-    /// Generation at scheduling time; a reschedule/cancel bumps the live
-    /// generation, turning older copies into tombstones skipped on drain.
-    gen: u64,
-}
-
-#[derive(Clone, Debug)]
-struct Level<K> {
-    slots: Vec<Vec<WheelEntry<K>>>,
-    /// Bit `s` set ⇔ `slots[s]` is non-empty (possibly only tombstones;
-    /// drain reconciles).
-    occupied: u64,
-}
-
-impl<K> Level<K> {
-    fn new() -> Self {
-        Level {
-            slots: (0..SLOTS).map(|_| Vec::new()).collect(),
-            occupied: 0,
-        }
-    }
-}
-
-/// A hierarchical timer wheel keyed by `K`.
+/// A keyed timer queue.
 ///
 /// Scheduling the same key again *replaces* the earlier deadline;
-/// [`TimerWheel::cancel`] disarms a key. Both are O(1). See the module
-/// docs for the full contract.
+/// [`TimerQueue::cancel`] disarms a key. See the module docs for the full
+/// contract and costs.
 ///
 /// # Examples
 ///
 /// ```
-/// use des::{SimTime, TimerWheel};
+/// use des::{SimTime, TimerQueue};
 ///
-/// let mut wheel: TimerWheel<&'static str> = TimerWheel::new();
-/// wheel.schedule("election", SimTime::from_millis(150));
-/// wheel.schedule("heartbeat", SimTime::from_millis(100));
-/// wheel.cancel(&"election");
-/// assert_eq!(wheel.next_deadline(), Some(SimTime::from_millis(100)));
+/// let mut timers: TimerQueue<&'static str> = TimerQueue::new();
+/// timers.schedule("election", SimTime::from_millis(150));
+/// timers.schedule("heartbeat", SimTime::from_millis(100));
+/// timers.cancel(&"election");
+/// assert_eq!(timers.next_deadline(), Some(SimTime::from_millis(100)));
 ///
 /// let mut fired = Vec::new();
-/// wheel.advance(SimTime::from_millis(200), &mut fired);
+/// timers.advance(SimTime::from_millis(200), &mut fired);
 /// assert_eq!(fired, vec![(SimTime::from_millis(100), "heartbeat")]);
-/// assert!(wheel.is_empty());
+/// assert!(timers.is_empty());
 /// ```
 #[derive(Clone, Debug)]
-pub struct TimerWheel<K> {
-    levels: Vec<Level<K>>,
-    /// Tick (µs) the wheel has been advanced through.
-    current: u64,
-    /// Live keys: generation + exact deadline.
+pub struct TimerQueue<K> {
+    /// Live entries plus tombstones (entries whose `seq` no longer
+    /// matches `keys`).
+    heap: BinaryHeap<Entry<K>>,
+    /// Live keys: schedule sequence + exact deadline.
     keys: HashMap<K, (u64, SimTime)>,
     next_seq: u64,
-    next_gen: u64,
-    /// Memoized [`TimerWheel::next_deadline`]: `Some(answer)` when valid,
-    /// `None` after a mutation that may have raised the minimum. Embeddings
-    /// re-arm their one simulator event after *every* step, so the common
-    /// case must not re-scan slots (a slot can hold thousands of co-due
-    /// entries plus tombstones).
-    next_cache: Option<Option<SimTime>>,
 }
 
-impl<K: Eq + Hash + Copy> Default for TimerWheel<K> {
+impl<K: Ord + Hash + Copy> Default for TimerQueue<K> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<K: Eq + Hash + Copy> TimerWheel<K> {
-    /// Creates an empty wheel at time zero.
+impl<K: Ord + Hash + Copy> TimerQueue<K> {
+    /// Creates an empty queue.
     pub fn new() -> Self {
-        TimerWheel {
-            levels: (0..LEVELS).map(|_| Level::new()).collect(),
-            current: 0,
+        TimerQueue {
+            heap: BinaryHeap::new(),
             keys: HashMap::new(),
             next_seq: 0,
-            next_gen: 0,
-            next_cache: Some(None),
         }
     }
 
@@ -136,56 +94,22 @@ impl<K: Eq + Hash + Copy> TimerWheel<K> {
         self.keys.is_empty()
     }
 
-    /// The instant the wheel has been advanced through.
-    pub fn now(&self) -> SimTime {
-        SimTime::from_micros(self.current)
-    }
-
     /// Arms (or re-arms) `key` to expire at `deadline`. A deadline at or
-    /// before the wheel's current time expires on the next [`advance`]
-    /// call (clamped to fire immediately, never dropped).
-    ///
-    /// [`advance`]: TimerWheel::advance
+    /// before the last [`TimerQueue::advance`] target fires on the next
+    /// call (callers advance monotonically).
     pub fn schedule(&mut self, key: K, deadline: SimTime) {
-        let gen = self.next_gen;
-        self.next_gen += 1;
         let seq = self.next_seq;
         self.next_seq += 1;
-        let prev = self.keys.insert(key, (gen, deadline));
-        match self.next_cache {
-            // Replacing the entry that *was* the minimum may raise it.
-            Some(Some(n)) if prev.is_some_and(|(_, d)| d == n) => {
-                self.next_cache = None;
-            }
-            Some(known) if known.is_none_or(|n| deadline < n) => {
-                self.next_cache = Some(Some(deadline));
-            }
-            _ => {}
+        self.keys.insert(key, (seq, deadline));
+        self.heap.push(Reverse((deadline, seq, key)));
+        if self.heap.len() > 2 * self.keys.len() + 64 {
+            self.heap.retain(|e| is_live(&self.keys, e));
         }
-        let entry = WheelEntry {
-            key,
-            deadline,
-            seq,
-            gen,
-        };
-        self.place(entry);
     }
 
     /// Disarms `key`. Returns `true` if it was armed.
-    ///
-    /// O(1): the slot copy becomes a tombstone reconciled on drain.
     pub fn cancel(&mut self, key: &K) -> bool {
-        match self.keys.remove(key) {
-            Some((_, d)) => {
-                // Removing the cached minimum invalidates it (another entry
-                // may share the deadline, but proving that needs a scan).
-                if self.next_cache == Some(Some(d)) {
-                    self.next_cache = None;
-                }
-                true
-            }
-            None => false,
-        }
+        self.keys.remove(key).is_some()
     }
 
     /// The deadline `key` is armed for, if any.
@@ -193,257 +117,40 @@ impl<K: Eq + Hash + Copy> TimerWheel<K> {
         self.keys.get(key).map(|&(_, d)| d)
     }
 
-    /// The earliest armed deadline, exact. Memoized: O(1) until a
-    /// mutation may have raised the minimum, then one recomputation that
-    /// also sweeps the tombstones it scans (so each cancelled/rescheduled
-    /// copy is visited at most once across all recomputations).
+    /// The earliest armed deadline, discarding tombstones on top.
     pub fn next_deadline(&mut self) -> Option<SimTime> {
-        if let Some(known) = self.next_cache {
-            return known;
-        }
-        let computed = self.compute_next_deadline();
-        self.next_cache = Some(computed);
-        computed
-    }
-
-    /// Minimum live deadline of level `l` slot `s`, pruning the slot's
-    /// tombstones in place (a slot left empty clears its occupancy bit).
-    fn slot_live_min(&mut self, l: usize, s: usize) -> Option<SimTime> {
-        let keys = &self.keys;
-        let slot = &mut self.levels[l].slots[s];
-        slot.retain(|e| keys.get(&e.key).is_some_and(|&(gen, _)| gen == e.gen));
-        if slot.is_empty() {
-            self.levels[l].occupied &= !(1 << s);
-        }
-        self.levels[l].slots[s].iter().map(|e| e.deadline).min()
-    }
-
-    fn compute_next_deadline(&mut self) -> Option<SimTime> {
-        if self.keys.is_empty() {
-            return None;
-        }
-        let mut best: Option<SimTime> = None;
-        let consider = |best: &mut Option<SimTime>, d: SimTime| {
-            *best = Some(match *best {
-                Some(b) if b <= d => b,
-                _ => d,
-            });
-        };
-        for l in 0..LEVELS {
-            if l == LEVELS - 1 {
-                // Top-level slots can hold entries from *later* windows
-                // than their slot position suggests (one-behind parking,
-                // beyond-span clamps), so no per-slot time order exists —
-                // scan every live entry.
-                let mut bits = self.levels[l].occupied;
-                while bits != 0 {
-                    let s = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    if let Some(d) = self.slot_live_min(l, s) {
-                        consider(&mut best, d);
-                    }
-                }
-                continue;
+        while let Some(top) = self.heap.peek() {
+            if is_live(&self.keys, top) {
+                let &Reverse((deadline, _, _)) = top;
+                return Some(deadline);
             }
-            // Below the top level every live entry's deadline lies inside
-            // its slot's window, so the earliest occupied slot (by
-            // `slot_time`) bounds the level minimum — but it may hold only
-            // tombstones, so re-pick until one holds a live entry.
-            loop {
-                let mut bits = self.levels[l].occupied;
-                let mut pick: Option<(u64, usize)> = None;
-                while bits != 0 {
-                    let s = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    let st = self.slot_time(l, s);
-                    if pick.is_none_or(|(t, _)| st < t) {
-                        pick = Some((st, s));
-                    }
-                }
-                let Some((_, s)) = pick else {
-                    break;
-                };
-                if let Some(d) = self.slot_live_min(l, s) {
-                    consider(&mut best, d);
-                    break; // later slots of this level are strictly later
-                }
-                // Slot was all tombstones: its bit is now clear; re-pick.
-            }
+            self.heap.pop();
         }
-        best
+        None
     }
 
-    /// Advances the wheel to `to`, appending every expired timer to `out`
-    /// as `(deadline, key)` in deterministic `(deadline, schedule-seq)`
-    /// order. Empty stretches are skipped via the occupancy bitmaps.
+    /// Fires every timer with a deadline at or before `to`, appending each
+    /// to `out` as `(deadline, key)` in `(deadline, schedule-seq)` order.
     pub fn advance(&mut self, to: SimTime, out: &mut Vec<(SimTime, K)>) {
-        let target = to.as_micros();
-        // Drain into a scratch carrying seq: equal-deadline entries can sit
-        // at different levels (scheduled at different distances), so drain
-        // order alone is level order, not schedule order.
-        let mut fired: Vec<(SimTime, u64, K)> = Vec::new();
-        let mut stuck = 0u32;
-        while self.current < target || self.due_at_current() {
-            let Some(next) = self.next_occupied_tick() else {
-                break;
-            };
-            if next > target {
+        while let Some(top) = self.heap.peek() {
+            let &Reverse((deadline, _, key)) = top;
+            let live = is_live(&self.keys, top);
+            if live && deadline > to {
                 break;
             }
-            let before = (self.current, fired.len());
-            self.current = self.current.max(next);
-            self.drain_tick(&mut fired);
-            if (self.current, fired.len()) == before {
-                stuck += 1;
-                if stuck > 10_000 {
-                    panic!(
-                        "wheel stuck: current={} target={} next={} occupied={:?}",
-                        self.current,
-                        target,
-                        next,
-                        self.levels.iter().map(|l| l.occupied).collect::<Vec<_>>()
-                    );
-                }
-            } else {
-                stuck = 0;
-            }
-        }
-        self.current = self.current.max(target);
-        if !fired.is_empty() {
-            // Firing removes live entries; the minimum moves. (A pure time
-            // advance leaves the live set — and thus the cache — intact.)
-            self.next_cache = None;
-        }
-        fired.sort_unstable_by_key(|&(d, s, _)| (d, s));
-        out.extend(fired.into_iter().map(|(d, _, k)| (d, k)));
-    }
-
-    // ------------------------------------------------------------------
-
-    fn is_live(&self, e: &WheelEntry<K>) -> bool {
-        self.keys.get(&e.key).is_some_and(|&(gen, _)| gen == e.gen)
-    }
-
-    /// Places an entry at the highest level whose digit of the deadline
-    /// differs from `current`'s digit (Varghese–Lauck placement).
-    ///
-    /// That slot is strictly *ahead* of `current`'s position within its
-    /// window (all higher digits agree), so it is addressed before the
-    /// ring wraps and the entry cascades down with less than one slot-unit
-    /// remaining. Picking the level by delta *magnitude* instead is subtly
-    /// wrong: a delta just under a level's span can carry into the next
-    /// digit, mapping the entry into the slot `current` occupies — which
-    /// drain would then re-place identically, forever.
-    fn place(&mut self, entry: WheelEntry<K>) {
-        let tick = entry.deadline.as_micros();
-        // Already due: clamp *up* to `current` so the slot resolves to
-        // the present position (drained by the very next advance).
-        // `deadline` stays exact either way.
-        let effective = tick.max(self.current);
-        let diff = effective ^ self.current;
-        let (level, slot) = if diff >> (SLOT_BITS * LEVELS as u32) != 0 {
-            // The deadline lies past the current top-level window. Its own
-            // top digit is still the right slot when it differs from
-            // `current`'s — `slot_time` classifies a behind-position slot
-            // as next-window, so it drains at the right wrap (and an
-            // ahead-position slot drains early and re-places, making
-            // window-sized progress). Only when the two top digits
-            // *collide* (deadline ≥ a full window away in that case) park
-            // one slot behind `current` — the last to come around — and
-            // re-evaluate on drain.
-            let shift = SLOT_BITS * (LEVELS as u32 - 1);
-            let s = (effective >> shift) & (SLOTS as u64 - 1);
-            let s_cur = (self.current >> shift) & (SLOTS as u64 - 1);
-            if s != s_cur {
-                (LEVELS - 1, s as usize)
-            } else {
-                (
-                    LEVELS - 1,
-                    ((s_cur + SLOTS as u64 - 1) & (SLOTS as u64 - 1)) as usize,
-                )
-            }
-        } else {
-            let level = if diff == 0 {
-                0 // same tick as `current`: due immediately
-            } else {
-                ((63 - diff.leading_zeros()) / SLOT_BITS) as usize
-            };
-            let slot =
-                ((effective >> (SLOT_BITS * level as u32)) & (SLOTS as u64 - 1)) as usize;
-            (level, slot)
-        };
-        self.levels[level].occupied |= 1 << slot;
-        self.levels[level].slots[slot].push(entry);
-    }
-
-    /// Absolute tick lower bound of level `l` slot `s`, relative to
-    /// `current` (slots wrap within their level's window; a slot whose
-    /// window-position lies behind `current` belongs to the next window).
-    fn slot_time(&self, l: usize, s: usize) -> u64 {
-        let unit = 1u64 << (SLOT_BITS * l as u32);
-        let window = unit * SLOTS as u64;
-        let base = (self.current / window) * window;
-        let cand = base + unit * s as u64;
-        if cand + unit <= self.current {
-            cand + window
-        } else {
-            cand
-        }
-    }
-
-    /// Earliest tick at which any slot (live or tombstoned) demands work.
-    fn next_occupied_tick(&self) -> Option<u64> {
-        let mut best: Option<u64> = None;
-        for (l, level) in self.levels.iter().enumerate() {
-            let mut bits = level.occupied;
-            while bits != 0 {
-                let s = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let t = self.slot_time(l, s).max(self.current);
-                best = Some(match best {
-                    Some(b) if b <= t => b,
-                    _ => t,
-                });
-            }
-        }
-        best
-    }
-
-    /// `true` when the slot addressed by `current` still holds entries
-    /// (placed while already due).
-    fn due_at_current(&self) -> bool {
-        let s = (self.current & (SLOTS as u64 - 1)) as usize;
-        self.levels[0].occupied & (1 << s) != 0
-    }
-
-    /// Drains every slot addressed by `current`: level-0 entries at or
-    /// before `current` expire, later entries and higher-level slot
-    /// contents cascade back in relative to the new `current`.
-    fn drain_tick(&mut self, out: &mut Vec<(SimTime, u64, K)>) {
-        for l in 0..LEVELS {
-            let s = ((self.current >> (SLOT_BITS * l as u32)) & (SLOTS as u64 - 1)) as usize;
-            if self.levels[l].occupied & (1 << s) == 0 {
-                continue;
-            }
-            // Only drain a slot whose window has actually arrived.
-            if self.slot_time(l, s) > self.current {
-                continue;
-            }
-            let entries = std::mem::take(&mut self.levels[l].slots[s]);
-            self.levels[l].occupied &= !(1 << s);
-            for e in entries {
-                if !self.is_live(&e) {
-                    continue; // tombstone (cancelled or rescheduled)
-                }
-                if e.deadline.as_micros() <= self.current {
-                    self.keys.remove(&e.key);
-                    out.push((e.deadline, e.seq, e.key));
-                } else {
-                    self.place(e); // cascade down
-                }
+            self.heap.pop();
+            if live {
+                self.keys.remove(&key);
+                out.push((deadline, key));
             }
         }
     }
+}
+
+/// `true` unless `e` was superseded by a reschedule or cancel.
+fn is_live<K: Eq + Hash>(keys: &HashMap<K, (u64, SimTime)>, e: &Entry<K>) -> bool {
+    let Reverse((_, seq, key)) = e;
+    keys.get(key).is_some_and(|&(live, _)| live == *seq)
 }
 
 #[cfg(test)]
@@ -457,7 +164,7 @@ mod tests {
 
     #[test]
     fn fires_in_deadline_order() {
-        let mut w = TimerWheel::new();
+        let mut w = TimerQueue::new();
         w.schedule("b", t(2_000));
         w.schedule("a", t(1_000));
         w.schedule("c", t(90_000_000));
@@ -472,7 +179,7 @@ mod tests {
 
     #[test]
     fn reschedule_replaces_deadline() {
-        let mut w = TimerWheel::new();
+        let mut w = TimerQueue::new();
         w.schedule(1u32, t(500));
         w.schedule(1u32, t(5_000));
         assert_eq!(w.len(), 1);
@@ -485,7 +192,7 @@ mod tests {
 
     #[test]
     fn cancel_disarms() {
-        let mut w = TimerWheel::new();
+        let mut w = TimerQueue::new();
         w.schedule(7u64, t(100));
         assert!(w.cancel(&7));
         assert!(!w.cancel(&7));
@@ -496,7 +203,7 @@ mod tests {
 
     #[test]
     fn next_deadline_is_exact_across_levels() {
-        let mut w = TimerWheel::new();
+        let mut w = TimerQueue::new();
         w.schedule("far", t(3_600_000_000)); // 1 h
         w.schedule("near", t(123_456));
         assert_eq!(w.next_deadline(), Some(t(123_456)));
@@ -506,7 +213,7 @@ mod tests {
 
     #[test]
     fn due_now_fires_on_next_advance() {
-        let mut w = TimerWheel::new();
+        let mut w = TimerQueue::new();
         let mut out = Vec::new();
         w.advance(t(1_000), &mut out);
         w.schedule("late", t(500)); // already past
@@ -517,7 +224,7 @@ mod tests {
 
     #[test]
     fn partial_advance_holds_future_entries() {
-        let mut w = TimerWheel::new();
+        let mut w = TimerQueue::new();
         w.schedule(1u8, t(10));
         w.schedule(2u8, t(20));
         let mut out = Vec::new();
@@ -529,7 +236,7 @@ mod tests {
 
     #[test]
     fn far_future_beyond_span_is_clamped_not_lost() {
-        let mut w = TimerWheel::new();
+        let mut w = TimerQueue::new();
         // ~139 years in µs — beyond the 7-level span.
         let far = t(1u64 << 52);
         w.schedule("eon", far);
@@ -542,7 +249,7 @@ mod tests {
 
     #[test]
     fn equal_deadlines_fire_in_schedule_order() {
-        let mut w = TimerWheel::new();
+        let mut w = TimerQueue::new();
         for k in 0..10u32 {
             w.schedule(k, t(777));
         }
@@ -558,7 +265,7 @@ mod tests {
     fn model_check_against_reference() {
         for seed in 0..8u64 {
             let mut rng = SimRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xD1B5);
-            let mut wheel: TimerWheel<u64> = TimerWheel::new();
+            let mut wheel: TimerQueue<u64> = TimerQueue::new();
             // Reference: key -> (deadline, seq of last schedule).
             let mut model: HashMap<u64, (u64, u64)> = HashMap::new();
             let mut now = 0u64;
@@ -625,4 +332,33 @@ mod tests {
         }
     }
 
+    /// Rescheduling one key far ahead over and over leaves one tombstone
+    /// per call; the rebuild keeps the heap within `2 × live + 64`.
+    #[test]
+    fn reschedule_storm_keeps_tombstones_bounded() {
+        let mut w = TimerQueue::new();
+        w.schedule(u64::MAX, t(1_000));
+        for i in 0..100_000u64 {
+            w.schedule(0u64, t(1_000_000_000 + i));
+            assert!(w.heap.len() <= 2 * w.len() + 64, "{} stored", w.heap.len());
+        }
+        assert_eq!(w.len(), 2);
+        let mut out = Vec::new();
+        w.advance(t(2_000_000_000), &mut out);
+        assert_eq!(out, vec![(t(1_000), u64::MAX), (t(1_000_099_999), 0)]);
+        assert!(w.heap.is_empty());
+    }
+
+    /// A reschedule takes a fresh sequence number: the moved key fires
+    /// after a key first armed for the same deadline.
+    #[test]
+    fn rescheduled_key_fires_after_earlier_armed_peer() {
+        let mut w = TimerQueue::new();
+        w.schedule("moved", t(50));
+        w.schedule("first", t(100));
+        w.schedule("moved", t(100));
+        let mut out = Vec::new();
+        w.advance(t(100), &mut out);
+        assert_eq!(out, vec![(t(100), "first"), (t(100), "moved")]);
+    }
 }

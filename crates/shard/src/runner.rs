@@ -1,5 +1,5 @@
 //! The multi-group runner: thousands of consensus groups in one process
-//! fabric, scheduled by a timer wheel so idle groups cost zero.
+//! fabric, scheduled by one timer queue so idle groups cost zero.
 //!
 //! # Topology
 //!
@@ -13,12 +13,15 @@
 //!
 //! # Scheduling
 //!
-//! All timers of all groups live in one hierarchical [`TimerWheel`]
-//! keyed by a packed `(proc, group, kind)` word, and the wheel is driven
-//! by a **single** event in the discrete-event simulation, re-armed to the
-//! wheel's next deadline after every dispatch. The per-event cost is
-//! therefore O(due work), never O(groups): a group with nothing due
-//! contributes no event, no heap entry, and no per-tick poll.
+//! All timers of all groups live in one [`TimerQueue`] (a lazy-deletion
+//! binary heap) keyed by a packed `(proc, group, kind)` word, and the
+//! queue is driven by a **single** event in the discrete-event
+//! simulation, re-armed to the queue's next deadline after every
+//! dispatch. Re-arming a protocol timer is one O(log n) push and
+//! disarming it one O(1) map removal, so the per-event cost is O(due work
+//! × log live timers), never O(groups): a group with nothing due
+//! contributes no event and no per-tick poll, and a parked group holds no
+//! live timer at all.
 //!
 //! # Hibernation
 //!
@@ -26,7 +29,7 @@
 //! no client op for `idle_after`, has no frames in flight, and is
 //! leadership-settled (one quiescent leader, followers tracking it), the
 //! runner **parks** it: every replica's pending timers are removed from
-//! the wheel with their remaining durations recorded. A parked group
+//! the queue with their remaining durations recorded. A parked group
 //! consumes zero CPU — no heartbeats, no events — until a client op or a
 //! stray frame **unparks** it, re-arming each timer at `now + remaining`.
 //! Because the leader's heartbeat remainder is always shorter than any
@@ -51,7 +54,7 @@
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
 use bytes::Bytes;
-use des::{EventId, Firing, SimDuration, SimRng, SimTime, Simulation, TimerWheel};
+use des::{EventId, Firing, SimDuration, SimRng, SimTime, Simulation, TimerQueue};
 use raft::{RaftNode, Role, Timing};
 use simnet::{Network, Verdict};
 use storage::StableState;
@@ -64,7 +67,7 @@ use wire::{
 use crate::router::{ReconfigOp, ShardRouter};
 use crate::zipf::Zipf;
 
-/// Packs a protocol timer identity into one wheel key.
+/// Packs a protocol timer identity into one timer-queue key.
 /// Layout: `proc << 40 | group << 8 | kind`, with kind `0xff` reserved
 /// for the per-group idle check (proc bits zero there).
 fn timer_key(proc: u64, group: u32, kind: TimerKind) -> u64 {
@@ -192,9 +195,9 @@ pub struct ShardMetrics {
     /// Group messages carried by those frames (coalescing ratio =
     /// `group_msgs_window / frames_window`).
     pub group_msgs_window: u64,
-    /// Wheel drive events dispatched.
+    /// Timer-queue drive events dispatched.
     pub wheel_events: u64,
-    /// Protocol timers armed into the wheel.
+    /// Protocol timers armed into the timer queue.
     pub timers_set: u64,
     /// Protocol timers cancelled (live entries disarmed).
     pub timers_cancelled: u64,
@@ -223,7 +226,7 @@ enum Ev<M> {
         to: NodeId,
         env: ShardEnvelope<M>,
     },
-    /// Drive the timer wheel up to `now`.
+    /// Drive the timer queue up to `now`.
     Wheel,
     /// A closed-loop client issues its first op.
     ClientStart { client: usize },
@@ -273,7 +276,7 @@ pub struct ShardRunner<P: ShardNode> {
     sim: Simulation<Ev<P::Message>>,
     net: Network,
     net_rng: SimRng,
-    wheel: TimerWheel<u64>,
+    wheel: TimerQueue<u64>,
     wheel_armed: Option<(SimTime, EventId)>,
     /// Engines keyed `(group, proc)` — BTreeMap for deterministic walks.
     engines: BTreeMap<(u32, u64), P>,
@@ -310,7 +313,7 @@ pub struct ShardRunner<P: ShardNode> {
 
 impl<P: ShardNode> ShardRunner<P> {
     /// Builds the fabric: all initial groups bootstrapped, clients and
-    /// scripted reconfig ops scheduled, wheel armed.
+    /// scripted reconfig ops scheduled, timer queue armed.
     pub fn new(
         cfg: ShardConfig,
         reconfigs: Vec<(SimTime, ReconfigOp)>,
@@ -352,7 +355,7 @@ impl<P: ShardNode> ShardRunner<P> {
             sim: Simulation::new(cfg.seed ^ 0x5AD0_77EE),
             net: Network::reliable_lan((0..cfg.procs).map(NodeId)),
             net_rng: root.split("shard-net"),
-            wheel: TimerWheel::new(),
+            wheel: TimerQueue::new(),
             wheel_armed: None,
             engines: BTreeMap::new(),
             disks: BTreeMap::new(),
@@ -460,7 +463,7 @@ impl<P: ShardNode> ShardRunner<P> {
         self.groups.get(&group.as_u32()).is_some_and(|c| c.parked)
     }
 
-    /// Live entries in the shared timer wheel.
+    /// Live timers in the shared timer queue.
     pub fn wheel_len(&self) -> usize {
         self.wheel.len()
     }
@@ -551,7 +554,7 @@ impl<P: ShardNode> ShardRunner<P> {
 
     /// Drains the post-dispatch work queues (commit-point router updates,
     /// client responses — which may step further engines), then flushes
-    /// the coalesced frames of this instant and re-arms the wheel event.
+    /// the coalesced frames of this instant and re-arms the timer-queue event.
     fn settle(&mut self) {
         loop {
             if let Some((proc, op)) = self.pending_reconfigs.pop_front() {

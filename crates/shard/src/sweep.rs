@@ -5,7 +5,7 @@
 //!
 //! 1. **Idle groups cost zero.** A fabric hosting 1 active + 4096 idle
 //!    groups commits within a few percent of the same fabric hosting the
-//!    active group alone — the timer wheel never polls parked groups, and
+//!    active group alone — the timer queue never polls parked groups, and
 //!    hibernation stops their heartbeats entirely. A hibernation-off
 //!    contrast cell shows the event volume parking removes.
 //! 2. **Aggregate throughput scales with group count.** Under a Zipfian
@@ -45,7 +45,7 @@ pub struct SweepCell {
     pub parks: u64,
     /// Groups parked at the end of the run.
     pub parked_at_end: usize,
-    /// Live wheel entries at the end of the run.
+    /// Live timer-queue entries at the end of the run.
     pub wheel_len: usize,
 }
 
