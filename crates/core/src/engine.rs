@@ -6,6 +6,12 @@
 //! among cluster leaders whose inserts are deferred through a
 //! [`GateRecorder`] until a *global state entry* commits locally (§V-B).
 //!
+//! What Fast Raft takes from Raft unchanged — terms, client sessions,
+//! linearizable reads, leases, compaction and snapshot install — lives in
+//! the [`ReplicaCore`] the engine embeds, shared with classic Raft. This
+//! module holds the rest: the fast track, the decision loop, recovery,
+//! replication over a sparse log, and self-announced membership.
+//!
 //! ## Protocol summary
 //!
 //! - **Fast track** (§IV-B): proposers broadcast `ProposeAt{index, entry}`
@@ -41,30 +47,16 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
 use bytes::Bytes;
 use des::{SimRng, SimTime};
-use raft::{Role, Timing};
+use raft::{ReplicaCore, Role, Timing};
 use wire::{
-    fold_commit_digest, fold_session_digest, session_state_current, Actions, Approval, ClientOp,
-    ClientOutcome, ClientRequest, Configuration, Consistency, EntryId, EntryList, LeaseState,
-    LogEntry, LogIndex, LogScope,
-    NodeId, Observation, Payload, PersistCmd, ReadIndexQueue, SessionApply, SessionId,
-    SessionTable, Snapshot, Term, TimerKind, VoteHold, MAX_INSERT_WINDOW,
+    fold_commit_digest, Actions, Approval, ClientOp, ClientOutcome, ClientRequest, Configuration,
+    Consistency, EntryId, EntryList, LogEntry, LogIndex, LogScope, NodeId, Observation, Payload,
+    PersistCmd, SessionId, SessionTable, Snapshot, Term, TimerKind, MAX_INSERT_WINDOW,
 };
 
 use crate::gate::{GatePurpose, GateToken, GateVerdict, InsertGate};
 use crate::message::FastRaftMessage;
 use crate::possible::PossibleEntries;
-
-/// Proposal-sequence numbers are reserved in stable storage in blocks of
-/// this size (one write-ahead command per block, not per proposal). A crash
-/// discards at most one partial block of unused ids.
-const SEQ_RESERVE_BLOCK: u64 = 64;
-
-/// Cached `ENGINE_TRACE` env check: protocol-step tracing to stderr for
-/// debugging runs (set the variable to any value to enable).
-fn trace_enabled() -> bool {
-    static FLAG: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *FLAG.get_or_init(|| std::env::var_os("ENGINE_TRACE").is_some())
-}
 
 /// Which set of timer kinds an engine arms — base names for single-level
 /// protocols and C-Raft's local level, `Global*` for C-Raft's global level.
@@ -162,19 +154,6 @@ enum GateCont {
     LeaderAppend { index: LogIndex, entry: LogEntry },
 }
 
-/// A linearizable read already admitted at a commit floor the state machine
-/// has not caught up to yet (pipelined apply only): the floor is safe — it
-/// was captured under lease or ReadIndex confirmation — but answering before
-/// the apply queue reaches it would let the client observe state older than
-/// its admission point.
-#[derive(Clone, Debug)]
-struct PendingReadAnswer {
-    reply_to: NodeId,
-    session: SessionId,
-    seq: u64,
-    floor: LogIndex,
-}
-
 /// Accumulated acknowledgement for one gated AppendEntries message.
 #[derive(Clone, Debug)]
 struct AckState {
@@ -191,37 +170,13 @@ struct AckState {
 /// One consensus level of Fast Raft: a sans-IO state machine.
 #[derive(Debug)]
 pub struct FastRaftEngine {
-    id: NodeId,
-    scope: LogScope,
+    /// Terms, log, sessions, reads, leases and snapshots (shared with
+    /// classic Raft); the fields below are Fast Raft's own.
+    core: ReplicaCore<FastRaftMessage, PendingProposal>,
     timers: TimerProfile,
-    timing: Timing,
     rng: SimRng,
 
-    // ---- persistent ----
-    current_term: Term,
-    voted_for: Option<NodeId>,
-    log: wire::SparseLog,
-    /// Latest snapshot covering the compacted log prefix, served to sites
-    /// whose `nextIndex` fell below `log.first_index()`.
-    snapshot: Option<Snapshot>,
-
     // ---- volatile ----
-    commit_index: LogIndex,
-    /// Highest index applied to the state machine. Trails `commit_index`
-    /// only under [`Timing::pipelined_apply`], between a commit advancement
-    /// and the embedding's drain stage; equal to it at every step boundary
-    /// otherwise.
-    applied_index: LogIndex,
-    /// Linearizable reads admitted at a floor above `applied_index`,
-    /// answered when the apply queue catches up (pipelined apply only).
-    reads_awaiting_apply: Vec<PendingReadAnswer>,
-    /// Running digest of the committed sequence (the simulated state
-    /// machine); captured into snapshots as the state image.
-    state_digest: u64,
-    role: Role,
-    leader_hint: Option<NodeId>,
-    config: Configuration,
-    config_index: LogIndex,
     election_votes: BTreeSet<NodeId>,
     /// Self-approved entries shipped by granters during the election.
     recovery_votes: Vec<(NodeId, Vec<(LogIndex, LogEntry)>)>,
@@ -245,44 +200,6 @@ pub struct FastRaftEngine {
     /// one stall triggers at most one proactive no-op broadcast.
     last_proactive_repair: LogIndex,
 
-    // ---- applied client state (deterministic across replicas) ----
-    /// Per-session exactly-once dedup table; updated while applying
-    /// committed `Write`/`Batch` entries and carried inside snapshots.
-    sessions: SessionTable,
-
-    // ---- gateway (client-facing) ----
-    /// In-flight client requests submitted at this node.
-    client_pending: BTreeMap<(SessionId, u64), ClientOp>,
-    /// `(session, seq)` → proposal id for in-flight writes.
-    client_writes: HashMap<(SessionId, u64), EntryId>,
-
-    // ---- leader read path (ReadIndex; shared machinery in wire::read) ----
-    reads: ReadIndexQueue,
-
-    // ---- leader lease (quorum-free reads; shared machinery in wire::lease) ----
-    /// This engine's local clock, stamped by the embedding before each
-    /// event (see [`wire::ConsensusProtocol::set_local_clock`]). Stays
-    /// [`SimTime::ZERO`] (clockless) in purely event-driven embeddings,
-    /// which keeps every lease path inert. At the C-Raft global level the
-    /// same machinery yields the recursive lease: the "followers" granting
-    /// are the other clusters' leaders.
-    local_now: SimTime,
-    /// Leader-side grant collection (valid ⇒ linearizable reads served
-    /// locally with zero messages).
-    lease: LeaseState,
-    /// Follower-side half of the promise: refuse rival candidates while a
-    /// grant this engine emitted is still live on its own clock.
-    vote_hold: VoteHold,
-
-    // ---- proposer ----
-    next_seq: u64,
-    /// One past the highest sequence number covered by a persisted
-    /// [`PersistCmd::ReserveProposalSeqs`]; `next_seq` never reaches it
-    /// without first extending the reservation, so recovery can restart
-    /// the counter at the persisted floor and never re-mint an id.
-    reserved_seqs: u64,
-    pending_proposals: BTreeMap<EntryId, PendingProposal>,
-
     // ---- joiner ----
     /// Contact sites while not yet a configuration member.
     join_contacts: Option<Vec<NodeId>>,
@@ -292,7 +209,6 @@ pub struct FastRaftEngine {
     silent_elections: u32,
 
     // ---- bookkeeping ----
-    id_index: HashMap<EntryId, LogIndex>,
     proposal_mode: ProposalMode,
     /// Next index handed to a leader-forwarded proposal (grows past
     /// gate-pending assignments).
@@ -361,23 +277,9 @@ impl FastRaftEngine {
         rng: SimRng,
     ) -> Self {
         FastRaftEngine {
-            id,
-            scope,
+            core: ReplicaCore::new(id, scope, config, timing),
             timers,
-            timing,
             rng,
-            current_term: Term::ZERO,
-            voted_for: None,
-            log: wire::SparseLog::new(),
-            snapshot: None,
-            commit_index: LogIndex::ZERO,
-            applied_index: LogIndex::ZERO,
-            reads_awaiting_apply: Vec::new(),
-            state_digest: 0,
-            role: Role::Follower,
-            leader_hint: None,
-            config,
-            config_index: LogIndex::ZERO,
             election_votes: BTreeSet::new(),
             recovery_votes: Vec::new(),
             verified: LogIndex::ZERO,
@@ -393,19 +295,8 @@ impl FastRaftEngine {
             reconfig_queue: VecDeque::new(),
             stalled_ticks: 0,
             last_proactive_repair: LogIndex::ZERO,
-            sessions: SessionTable::new(),
-            client_pending: BTreeMap::new(),
-            client_writes: HashMap::new(),
-            reads: ReadIndexQueue::new(),
-            local_now: SimTime::ZERO,
-            lease: LeaseState::new(),
-            vote_hold: VoteHold::new(),
-            next_seq: 0,
-            reserved_seqs: 0,
-            pending_proposals: BTreeMap::new(),
             join_contacts,
             silent_elections: 0,
-            id_index: HashMap::new(),
             proposal_mode: ProposalMode::default(),
             assign_cursor: LogIndex::ZERO,
             pending_gates: HashMap::new(),
@@ -426,7 +317,7 @@ impl FastRaftEngine {
         id: NodeId,
         term: Term,
         voted_for: Option<NodeId>,
-        mut log: wire::SparseLog,
+        log: wire::SparseLog,
         snapshot: Option<Snapshot>,
         bootstrap: Configuration,
         scope: LogScope,
@@ -436,44 +327,17 @@ impl FastRaftEngine {
         proposal_seq_floor: u64,
     ) -> Self {
         let mut e = Self::construct(id, bootstrap, None, scope, timers, timing, rng);
-        e.current_term = term;
-        e.voted_for = voted_for;
-        // Resume the proposal counter above every persisted reservation so
-        // no pre-crash `EntryId` is ever minted again (peers would dedup a
-        // reused id against the *old* entry and drop the new proposal).
-        e.next_seq = proposal_seq_floor;
-        e.reserved_seqs = proposal_seq_floor;
-        if let Some(snap) = &snapshot {
-            // Idempotent for a log already compacted to the snapshot; for a
-            // log rebuilt some other way (C-Raft's global reconstruction) it
-            // establishes the horizon and drops covered entries.
-            log.install_snapshot(snap.last_index, snap.last_term);
-            e.config = snap.config.clone();
-            e.config_index = snap.last_index;
-            e.sessions = snap.sessions.clone();
-            if let Some(digest) = snap.state_digest() {
-                e.state_digest = digest;
-            }
-        }
-        e.log = log;
-        e.snapshot = snapshot;
-        e.commit_index = e.log.compacted_through();
-        e.applied_index = e.commit_index;
-        e.verified = e.commit_index;
-        if let Some((idx, cfg)) = e.log.latest_config() {
-            e.config = cfg.clone();
-            e.config_index = idx;
-        }
+        e.core
+            .restore(term, voted_for, log, snapshot, proposal_seq_floor);
+        e.verified = e.core.commit_index;
         e.last_leader_index = e
+            .core
             .log
             .last_leader_index()
-            .max(e.log.compacted_through());
-        for (idx, entry) in e.log.iter() {
-            e.id_index.insert(entry.id, idx);
-        }
-        if !e.config.contains(id) && !e.config.is_empty() {
+            .max(e.core.log.compacted_through());
+        if !e.core.config.contains(id) && !e.core.config.is_empty() {
             // Removed while down: must rejoin explicitly.
-            e.join_contacts = Some(e.config.to_vec());
+            e.join_contacts = Some(e.core.config.to_vec());
         }
         e
     }
@@ -484,67 +348,67 @@ impl FastRaftEngine {
 
     /// This node's id.
     pub fn id(&self) -> NodeId {
-        self.id
+        self.core.id
     }
 
     /// Stamps this engine's view of "now" (an input like any message; see
     /// [`wire::ConsensusProtocol::set_local_clock`]). Never stamping it
     /// leaves the engine clockless and every lease path inert.
     pub fn set_local_clock(&mut self, now: SimTime) {
-        self.local_now = now;
+        self.core.local_now = now;
     }
 
     /// Current role at this level.
     pub fn role(&self) -> Role {
-        self.role
+        self.core.role
     }
 
     /// `true` while this node leads its configuration.
     pub fn is_leader(&self) -> bool {
-        self.role == Role::Leader
+        self.core.role == Role::Leader
     }
 
     /// Current term at this level.
     pub fn current_term(&self) -> Term {
-        self.current_term
+        self.core.current_term
     }
 
     /// Highest committed index.
     pub fn commit_index(&self) -> LogIndex {
-        self.commit_index
+        self.core.commit_index
     }
 
     /// The highest index applied to the state machine. Equal to
     /// [`FastRaftEngine::commit_index`] except transiently under
     /// [`Timing::pipelined_apply`], between commit and the drain stage.
     pub fn applied_index(&self) -> LogIndex {
-        self.applied_index
+        self.core.applied_index
     }
 
     /// The log at this level.
     pub fn log(&self) -> &wire::SparseLog {
-        &self.log
+        &self.core.log
     }
 
     /// The latest snapshot covering the compacted prefix, if any.
     pub fn snapshot(&self) -> Option<&Snapshot> {
-        self.snapshot.as_ref()
+        self.core.snapshot.as_ref()
     }
 
     /// Running digest of the committed sequence (the simulated state
     /// machine's state).
     pub fn state_digest(&self) -> u64 {
-        self.state_digest
+        self.core.state_digest
     }
 
     /// The configuration currently obeyed.
     pub fn config(&self) -> &Configuration {
-        &self.config
+        &self.core.config
     }
 
     /// The believed leader.
     pub fn leader_hint(&self) -> Option<NodeId> {
-        self.leader_hint
+        self.core.leader_hint
     }
 
     /// Highest leader-approved index (§IV-A `lastLeaderIndex`).
@@ -554,7 +418,7 @@ impl FastRaftEngine {
 
     /// Proposals issued here and not yet known committed.
     pub fn pending_proposals(&self) -> usize {
-        self.pending_proposals.len()
+        self.core.proposals.len()
     }
 
     /// Inserts currently parked behind the [`InsertGate`]: continuations
@@ -576,7 +440,7 @@ impl FastRaftEngine {
 
     /// The per-session exactly-once dedup table (applied state).
     pub fn sessions(&self) -> &SessionTable {
-        &self.sessions
+        &self.core.sessions
     }
 
     /// `true` while this node is still negotiating membership.
@@ -586,7 +450,7 @@ impl FastRaftEngine {
 
     /// The consensus scope this engine operates on.
     pub fn scope(&self) -> LogScope {
-        self.scope
+        self.core.scope
     }
 
     /// Selects how proposals reach the log (default:
@@ -615,11 +479,11 @@ impl FastRaftEngine {
 
     /// Announces departure (§IV-D): ask the leader to reconfigure us out.
     pub fn request_leave(&mut self, out: &mut Actions<FastRaftMessage>) {
-        let msg = FastRaftMessage::LeaveRequest { node: self.id };
-        if let Some(leader) = self.leader_hint {
+        let msg = FastRaftMessage::LeaveRequest { node: self.core.id };
+        if let Some(leader) = self.core.leader_hint {
             out.send(leader, msg);
         } else {
-            let peers: Vec<NodeId> = self.config.peers(self.id).collect();
+            let peers: Vec<NodeId> = self.core.config.peers(self.core.id).collect();
             out.send_many(peers, msg);
         }
     }
@@ -628,13 +492,13 @@ impl FastRaftEngine {
         let Some(contacts) = &self.join_contacts else {
             return;
         };
-        let msg = FastRaftMessage::JoinRequest { node: self.id };
+        let msg = FastRaftMessage::JoinRequest { node: self.core.id };
         // Ask the hinted leader, but keep probing every contact too: the
         // hint may name a crashed leader (exactly the churn that made us
         // rejoin), and a stale hint must not wedge the join forever — a
         // current member redirects us to the live leader.
         let mut targets: Vec<NodeId> = contacts.clone();
-        if let Some(leader) = self.leader_hint {
+        if let Some(leader) = self.core.leader_hint {
             if !targets.contains(&leader) {
                 targets.push(leader);
             }
@@ -642,7 +506,7 @@ impl FastRaftEngine {
         out.send_many(targets, msg);
         out.set_timer(
             self.timers.map(TimerKind::JoinRetry),
-            self.timing.join_timeout,
+            self.core.timing.join_timeout,
         );
     }
 
@@ -660,28 +524,27 @@ impl FastRaftEngine {
     ) {
         match base {
             TimerKind::Election
-                if self.role != Role::Leader && self.join_contacts.is_none() => {
-                    self.start_election(out);
-                }
-            TimerKind::Heartbeat
-                if self.role == Role::Leader => {
-                    self.note_missed_beats(out);
-                    self.dispatch_append_entries(out);
-                    out.set_timer(
-                        self.timers.map(TimerKind::Heartbeat),
-                        self.timing.heartbeat,
-                    );
-                }
-            TimerKind::LeaderTick
-                if self.role == Role::Leader => {
-                    self.run_decision_loop(gate, out);
-                    self.maybe_fill_hole(out);
-                    self.start_next_reconfig(out);
-                    out.set_timer(
-                        self.timers.map(TimerKind::LeaderTick),
-                        self.timing.decision_tick,
-                    );
-                }
+                if self.core.role != Role::Leader && self.join_contacts.is_none() =>
+            {
+                self.start_election(out);
+            }
+            TimerKind::Heartbeat if self.core.role == Role::Leader => {
+                self.note_missed_beats(out);
+                self.dispatch_append_entries(out);
+                out.set_timer(
+                    self.timers.map(TimerKind::Heartbeat),
+                    self.core.timing.heartbeat,
+                );
+            }
+            TimerKind::LeaderTick if self.core.role == Role::Leader => {
+                self.run_decision_loop(gate, out);
+                self.maybe_fill_hole(out);
+                self.start_next_reconfig(out);
+                out.set_timer(
+                    self.timers.map(TimerKind::LeaderTick),
+                    self.core.timing.decision_tick,
+                );
+            }
             TimerKind::ProposalRetry => self.retry_proposals(out),
             TimerKind::JoinRetry
                 if self.join_contacts.is_some() => {
@@ -692,7 +555,7 @@ impl FastRaftEngine {
     }
 
     fn reset_election_timer(&mut self, out: &mut Actions<FastRaftMessage>) {
-        let timeout = self.timing.election_timeout(&mut self.rng);
+        let timeout = self.core.timing.election_timeout(&mut self.rng);
         out.set_timer(self.timers.map(TimerKind::Election), timeout);
     }
 
@@ -708,11 +571,11 @@ impl FastRaftEngine {
         gate: &mut dyn InsertGate,
         out: &mut Actions<FastRaftMessage>,
     ) -> EntryId {
-        let id = self.fresh_id(out);
+        let id = self.core.fresh_id(out);
         match self.proposal_mode {
             ProposalMode::Broadcast => {
                 let index = self.pick_proposal_index();
-                self.pending_proposals.insert(
+                self.core.proposals.insert(
                     id,
                     PendingProposal {
                         payload: payload.clone(),
@@ -722,7 +585,7 @@ impl FastRaftEngine {
                 self.broadcast_proposal(id, payload, index, gate, out);
             }
             ProposalMode::LeaderForward => {
-                self.pending_proposals.insert(
+                self.core.proposals.insert(
                     id,
                     PendingProposal {
                         payload: payload.clone(),
@@ -734,7 +597,7 @@ impl FastRaftEngine {
         }
         out.set_timer(
             self.timers.map(TimerKind::ProposalRetry),
-            self.timing.proposal_timeout,
+            self.core.timing.proposal_timeout,
         );
         id
     }
@@ -748,14 +611,14 @@ impl FastRaftEngine {
         out: &mut Actions<FastRaftMessage>,
     ) {
         let entry = LogEntry {
-            term: self.current_term,
+            term: self.core.current_term,
             id,
             payload,
             approval: Approval::SelfApproved,
         };
-        if self.role == Role::Leader {
+        if self.core.role == Role::Leader {
             self.leader_accept_forwarded(entry, gate, out);
-        } else if let Some(leader) = self.leader_hint {
+        } else if let Some(leader) = self.core.leader_hint {
             out.send(
                 leader,
                 FastRaftMessage::ProposeAt {
@@ -764,7 +627,7 @@ impl FastRaftEngine {
                 },
             );
         } else {
-            let peers: Vec<NodeId> = self.config.peers(self.id).collect();
+            let peers: Vec<NodeId> = self.core.config.peers(self.core.id).collect();
             out.send_many(
                 peers,
                 FastRaftMessage::ProposeAt {
@@ -792,14 +655,14 @@ impl FastRaftEngine {
         }
         // Dedup: retries of ids already in the log are ignored (commit
         // notification flows from emit_commit_effects).
-        if let Some(&idx) = self.id_index.get(&entry.id) {
-            if idx <= self.commit_index {
+        if let Some(&idx) = self.core.id_index.get(&entry.id) {
+            if idx <= self.core.commit_index {
                 out.send(
                     entry.id.proposer,
                     FastRaftMessage::ProposeReply {
                         id: entry.id,
                         committed: true,
-                        leader_hint: Some(self.id),
+                        leader_hint: Some(self.core.id),
                     },
                 );
             }
@@ -822,10 +685,10 @@ impl FastRaftEngine {
         // commits. Once current, the refusal is exact and terminal (any
         // same-pair placement still in the log under another proposal id
         // is skipped by the same apply-time check).
-        if self.timing.session_ttl > 0 && self.applied_session_state_current() {
+        if self.core.timing.session_ttl > 0 && self.core.applied_session_state_current() {
             if let Some((session, seq)) = entry.payload.session_key() {
-                if self.sessions.is_expired_retry(session, seq) {
-                    self.respond_client(
+                if self.core.sessions.is_expired_retry(session, seq) {
+                    self.core.respond_client(
                         entry.id.proposer,
                         session,
                         seq,
@@ -843,11 +706,8 @@ impl FastRaftEngine {
         }
         self.assign_cursor = self.assign_cursor.max(self.last_leader_index).next();
         let k = self.assign_cursor;
-        if trace_enabled() {
-            eprintln!("FORWARD_ACCEPT {} k={} id={}", self.id, k.as_u64(), entry.id);
-        }
         let chosen = entry
-            .with_term(self.current_term)
+            .with_term(self.core.current_term)
             .with_approval(Approval::LeaderApproved);
         match gate.begin(k, &chosen, GatePurpose::DecisionInsert) {
             GateVerdict::Proceed => {
@@ -864,7 +724,7 @@ impl FastRaftEngine {
                 // releases second silently overwrites the (possibly
                 // already replicated) first. The reservation drains in
                 // `gate_ready`'s LeaderAppend arm.
-                self.id_index.insert(chosen.id, k);
+                self.core.id_index.insert(chosen.id, k);
                 self.gated_decisions.insert(k);
                 self.pending_gates
                     .insert(token, GateCont::LeaderAppend { index: k, entry: chosen });
@@ -883,14 +743,10 @@ impl FastRaftEngine {
         let Some((session, seq)) = entry.payload.session_key() else {
             return false;
         };
-        if let Some(first_index) = self.sessions.duplicate_of(session, seq) {
-            self.respond_client(
-                entry.id.proposer,
-                session,
-                seq,
-                ClientOutcome::Duplicate { first_index },
-                out,
-            );
+        if self
+            .core
+            .answer_applied(entry.id.proposer, session, seq, false, out)
+        {
             return true;
         }
         // Deliberately NO expired-session refusal here: this runs on the
@@ -915,11 +771,12 @@ impl FastRaftEngine {
         index: LogIndex,
         out: &mut Actions<FastRaftMessage>,
     ) {
-        self.pending_proposals
+        self.core
+            .proposals
             .insert(id, PendingProposal { payload, index });
         out.set_timer(
             self.timers.map(TimerKind::ProposalRetry),
-            self.timing.proposal_timeout,
+            self.core.timing.proposal_timeout,
         );
     }
 
@@ -970,33 +827,18 @@ impl FastRaftEngine {
         gate: &mut dyn InsertGate,
         out: &mut Actions<FastRaftMessage>,
     ) {
-        // Server-assigned id on request: derived from this gateway's node
-        // id and proposal counter, so concurrent registrations at different
-        // gateways cannot collide. A *retry* of an unassigned registration
-        // may open a second (unused) session; the TTL reclaims it.
-        let session = if session.is_unassigned() {
-            SessionId::assigned(self.id, self.next_seq)
-        } else {
-            session
-        };
-        if let Some(first_index) = self.sessions.duplicate_of(session, 1) {
-            self.respond_client(
-                self.id,
-                session,
-                1,
-                ClientOutcome::Registered {
-                    session,
-                    index: first_index,
-                },
-                out,
-            );
+        let session = self.core.registered_session(session);
+        if self
+            .core
+            .answer_applied(self.core.id, session, 1, true, out)
+        {
             return;
         }
-        if let Some(id) = self.client_writes.get(&(session, 1)) {
-            if self.pending_proposals.contains_key(id) {
+        if let Some(id) = self.core.client_writes.get(&(session, 1)) {
+            if self.core.proposals.contains_key(id) {
                 out.set_timer(
                     self.timers.map(TimerKind::ProposalRetry),
-                    self.timing.proposal_timeout,
+                    self.core.timing.proposal_timeout,
                 );
                 return;
             }
@@ -1004,9 +846,11 @@ impl FastRaftEngine {
         // No expired-retry door: re-registering an evicted session is
         // harmless by construction — the registration carries no value, so
         // re-applying it merely re-opens an empty dedup window.
-        self.client_pending.insert((session, 1), ClientOp::Register);
+        self.core
+            .client_ops
+            .insert((session, 1), ClientOp::Register);
         let id = self.propose_payload(Payload::Register { session }, gate, out);
-        self.client_writes.insert((session, 1), id);
+        self.core.client_writes.insert((session, 1), id);
     }
 
     fn client_write(
@@ -1018,46 +862,31 @@ impl FastRaftEngine {
         out: &mut Actions<FastRaftMessage>,
     ) {
         // Applied already? Answer without proposing (retry-safe).
-        if let Some(first_index) = self.sessions.duplicate_of(session, seq) {
-            self.respond_client(
-                self.id,
-                session,
-                seq,
-                ClientOutcome::Duplicate { first_index },
-                out,
-            );
+        if self
+            .core
+            .answer_applied(self.core.id, session, seq, false, out)
+        {
             return;
         }
-        if let Some(id) = self.client_writes.get(&(session, seq)) {
-            if self.pending_proposals.contains_key(id) {
+        if let Some(id) = self.core.client_writes.get(&(session, seq)) {
+            if self.core.proposals.contains_key(id) {
                 // Already in flight: the proposal-retry machinery keeps
                 // pushing it; just make sure the timer is armed.
                 out.set_timer(
                     self.timers.map(TimerKind::ProposalRetry),
-                    self.timing.proposal_timeout,
+                    self.core.timing.proposal_timeout,
                 );
                 return;
             }
         }
-        // Stale write from an expired (evicted) session: terminal refusal
-        // only when this gateway happens to be the leader with a provably
-        // current applied table (see `applied_session_state_current`) — on
-        // any other gateway the table may simply lag the commit sequence
-        // and "expired" can be a false positive for a live session. Those
-        // fall through: the op is placed and routed onward, and the leader
-        // door or the authoritative apply-time check rules, relayed back
-        // through the normal ClientReply path.
-        if self.timing.session_ttl > 0
-            && self.sessions.is_expired_retry(session, seq)
-            && self.applied_session_state_current()
-        {
-            self.respond_client(self.id, session, seq, ClientOutcome::SessionExpired, out);
+        if self.core.refuses_expired_write(session, seq, out) {
             return;
         }
-        self.client_pending
+        self.core
+            .client_ops
             .insert((session, seq), ClientOp::Write(data.clone()));
         let id = self.propose_payload(Payload::Write { session, seq, data }, gate, out);
-        self.client_writes.insert((session, seq), id);
+        self.core.client_writes.insert((session, seq), id);
     }
 
     fn client_read(
@@ -1080,18 +909,20 @@ impl FastRaftEngine {
                     session,
                     seq,
                     outcome: ClientOutcome::ReadOk {
-                        scope: self.scope,
-                        commit_floor: self.commit_index,
+                        scope: self.core.scope,
+                        commit_floor: self.core.commit_index,
                     },
                 });
             }
             Consistency::Linearizable => {
-                if self.role == Role::Leader {
-                    self.client_pending
+                if self.core.role == Role::Leader {
+                    self.core
+                        .client_ops
                         .insert((session, seq), ClientOp::Read(consistency));
-                    self.register_read(session, seq, self.id, gate, out);
-                } else if let Some(leader) = self.leader_hint {
-                    self.client_pending
+                    self.register_read(session, seq, self.core.id, gate, out);
+                } else if let Some(leader) = self.core.leader_hint {
+                    self.core
+                        .client_ops
                         .insert((session, seq), ClientOp::Read(consistency));
                     out.send(leader, FastRaftMessage::ClientRead { session, seq });
                 } else {
@@ -1106,97 +937,6 @@ impl FastRaftEngine {
         }
     }
 
-    /// `true` when this node's applied session table provably covers every
-    /// write the cluster has ever committed: it is the leader and an entry
-    /// of its own term has committed (the shared
-    /// [`wire::session_state_current`] condition). Only then is a
-    /// door-level `SessionTable::is_expired_retry` verdict exact;
-    /// elsewhere the table may simply lag and "expired" can be a false
-    /// positive for a perfectly live session.
-    fn applied_session_state_current(&self) -> bool {
-        self.role == Role::Leader
-            // Pipelined apply: the table only covers the *applied* prefix;
-            // while the queue is non-empty the door verdict stays inexact
-            // (answers degrade to Retry, never a wrong terminal refusal).
-            && self.applied_index == self.commit_index
-            && session_state_current(&self.log, self.commit_index, self.current_term)
-    }
-
-    /// Answers a client request: as an observation when the gateway is this
-    /// node, as a [`FastRaftMessage::ClientReply`] otherwise.
-    fn respond_client(
-        &mut self,
-        to: NodeId,
-        session: SessionId,
-        seq: u64,
-        outcome: ClientOutcome,
-        out: &mut Actions<FastRaftMessage>,
-    ) {
-        if to == self.id {
-            if let Some(id) = self.client_writes.remove(&(session, seq)) {
-                self.pending_proposals.remove(&id);
-            }
-            self.client_pending.remove(&(session, seq));
-            out.observe(Observation::ClientResponse {
-                session,
-                seq,
-                outcome,
-            });
-        } else {
-            out.send(
-                to,
-                FastRaftMessage::ClientReply {
-                    session,
-                    seq,
-                    outcome,
-                },
-            );
-        }
-    }
-
-    /// Gateway handling of a typed outcome arriving from another node.
-    fn on_client_reply(
-        &mut self,
-        session: SessionId,
-        seq: u64,
-        outcome: ClientOutcome,
-        out: &mut Actions<FastRaftMessage>,
-    ) {
-        if let ClientOutcome::Redirect { leader_hint } = &outcome {
-            if let Some(hint) = leader_hint {
-                self.leader_hint = Some(*hint);
-            }
-            // A redirected write stays pending: the proposal machinery keeps
-            // retrying it (broadcast mode needs no hint at all). Redirected
-            // reads surface so the caller retries against the updated hint.
-            if self.client_writes.contains_key(&(session, seq)) {
-                return;
-            }
-        }
-        // The wire reply carries no op kind; the gateway knows it locally.
-        // A remote door answering a registration's (session, 1) with a
-        // commit/duplicate verdict is reporting the registration applied —
-        // surface it as `Registered`.
-        let outcome = match (&outcome, self.client_pending.get(&(session, seq))) {
-            (ClientOutcome::Committed { index }, Some(ClientOp::Register)) => {
-                ClientOutcome::Registered {
-                    session,
-                    index: *index,
-                }
-            }
-            (ClientOutcome::Duplicate { first_index }, Some(ClientOp::Register)) => {
-                ClientOutcome::Registered {
-                    session,
-                    index: *first_index,
-                }
-            }
-            _ => outcome,
-        };
-        if self.client_pending.contains_key(&(session, seq)) {
-            self.respond_client(self.id, session, seq, outcome, out);
-        }
-    }
-
     /// Leader side of a linearizable read: capture the commit floor, then
     /// confirm leadership with a heartbeat round before answering.
     fn register_read(
@@ -1207,7 +947,7 @@ impl FastRaftEngine {
         gate: &mut dyn InsertGate,
         out: &mut Actions<FastRaftMessage>,
     ) {
-        debug_assert_eq!(self.role, Role::Leader);
+        debug_assert_eq!(self.core.role, Role::Leader);
         // A fresh leader's commit floor may lag entries committed by its
         // predecessor until an entry of its own term commits (Raft §8):
         // until then the floor must not be served. Exception: a provably
@@ -1217,12 +957,15 @@ impl FastRaftEngine {
         // entries contain anything: a fast quorum that chose an entry
         // intersects every classic quorum in a voter that would have
         // shipped it, so emptiness here implies no write ever completed.
-        let provably_empty = self.commit_index.is_zero()
+        let provably_empty = self.core.commit_index.is_zero()
             && self.last_leader_index.is_zero()
-            && self.log.is_empty()
+            && self.core.log.is_empty()
             && self.possible.max_index().is_zero();
-        if !provably_empty && self.log.term_at(self.commit_index) != self.current_term {
-            self.respond_client(reply_to, session, seq, ClientOutcome::Retry, out);
+        if !provably_empty
+            && self.core.log.term_at(self.core.commit_index) != self.core.current_term
+        {
+            self.core
+                .respond_client(reply_to, session, seq, ClientOutcome::Retry, out);
             // Liveness nudge: a *quiescent* new leader — everything
             // inherited already committed — never runs `maybe_term_noop`
             // (that path only fires while commits lag), so without client
@@ -1230,9 +973,9 @@ impl FastRaftEngine {
             // would retry forever. Create the no-op on demand, only when a
             // read actually needs it, so write-only runs keep their exact
             // index layout.
-            if self.commit_index >= self.last_leader_index && self.leader_log_settled() {
+            if self.core.commit_index >= self.last_leader_index && self.leader_log_settled() {
                 let k = self.last_leader_index.next();
-                let noop = LogEntry::noop(self.current_term, self.fresh_id(out));
+                let noop = LogEntry::noop(self.core.current_term, self.core.fresh_id(out));
                 match gate.begin(k, &noop, GatePurpose::DecisionInsert) {
                     GateVerdict::Proceed => {
                         self.insert_leader_entry(k, noop, out);
@@ -1252,102 +995,21 @@ impl FastRaftEngine {
             }
             return;
         }
-        let floor = self.commit_index;
-        // Lease fast path: a classic quorum of live grants proves no rival
-        // can have been elected, so the current commit floor is
-        // linearizable to serve locally — zero messages, zero round trips
-        // (see `docs/CONSISTENCY.md`). At the C-Raft global level this is
-        // the recursive lease: the granters are the other clusters'
-        // leaders.
-        if self
-            .lease
-            .valid_at(self.local_now, &self.config, self.id, self.timing.max_clock_skew)
-        {
-            out.observe(Observation::LeaseRead {
-                session,
-                seq,
-                floor,
-            });
-            self.answer_read(reply_to, session, seq, floor, out);
-            return;
-        }
-        if self.config.classic_quorum() <= 1 {
-            // A single-voter configuration confirms itself.
-            out.observe(Observation::ReadIndexRead {
-                session,
-                seq,
-                floor,
-            });
-            self.answer_read(reply_to, session, seq, floor, out);
-            return;
-        }
-        // Retry idempotence (see `wire::ReadIndexQueue::is_pending`): the
-        // pending round answers the retry too; just re-probe for liveness
-        // in case the original heartbeats were lost.
-        if self.reads.is_pending(session, seq, reply_to) {
+        // Lease read, or a ReadIndex round confirmed now rather than after
+        // the heartbeat period. At the C-Raft global level the lease is the
+        // recursive one: the granters are the other clusters' leaders.
+        if self.core.admit_read(session, seq, reply_to, out) {
             self.dispatch_append_entries(out);
-            return;
-        }
-        self.reads.register(session, seq, reply_to, floor);
-        // Confirm now rather than waiting out the heartbeat period.
-        self.dispatch_append_entries(out);
-    }
-
-    /// Counts a follower's heartbeat ack toward pending ReadIndex rounds.
-    fn note_read_ack(&mut self, from: NodeId, probe: u64, out: &mut Actions<FastRaftMessage>) {
-        for r in self.reads.note_ack(from, probe, &self.config, self.id) {
-            out.observe(Observation::ReadIndexRead {
-                session: r.session,
-                seq: r.seq,
-                floor: r.floor,
-            });
-            self.answer_read(r.reply_to, r.session, r.seq, r.floor, out);
-        }
-    }
-
-    /// Fails every pending ReadIndex round with `Retry` (leadership lost or
-    /// re-confirmed under a different term).
-    fn fail_pending_reads(&mut self, out: &mut Actions<FastRaftMessage>) {
-        for r in self.reads.drain() {
-            self.respond_client(r.reply_to, r.session, r.seq, ClientOutcome::Retry, out);
-        }
-    }
-
-    /// Answers any locally pending write the session table now covers (a
-    /// snapshot install can jump the commit floor across its application).
-    fn sweep_client_pending(&mut self, out: &mut Actions<FastRaftMessage>) {
-        let done: Vec<(SessionId, u64, LogIndex, bool)> = self
-            .client_writes
-            .keys()
-            .filter_map(|&(s, q)| {
-                self.sessions.duplicate_of(s, q).map(|idx| {
-                    let reg = matches!(self.client_pending.get(&(s, q)), Some(ClientOp::Register));
-                    (s, q, idx, reg)
-                })
-            })
-            .collect();
-        for (session, seq, first_index, register) in done {
-            let outcome = if register {
-                ClientOutcome::Registered {
-                    session,
-                    index: first_index,
-                }
-            } else {
-                ClientOutcome::Duplicate { first_index }
-            };
-            self.respond_client(
-                self.id,
-                session,
-                seq,
-                outcome,
-                out,
-            );
         }
     }
 
     fn pick_proposal_index(&self) -> LogIndex {
         // Past everything this site has seen proposed or stored.
-        self.log.last_index().max(self.commit_index).next()
+        self.core
+            .log
+            .last_index()
+            .max(self.core.commit_index)
+            .next()
     }
 
     fn broadcast_proposal(
@@ -1359,12 +1021,12 @@ impl FastRaftEngine {
         out: &mut Actions<FastRaftMessage>,
     ) {
         let entry = LogEntry {
-            term: self.current_term,
+            term: self.core.current_term,
             id,
             payload,
             approval: Approval::SelfApproved,
         };
-        let peers: Vec<NodeId> = self.config.peers(self.id).collect();
+        let peers: Vec<NodeId> = self.core.config.peers(self.core.id).collect();
         out.send_many(
             peers,
             FastRaftMessage::ProposeAt {
@@ -1374,7 +1036,7 @@ impl FastRaftEngine {
         );
         // The proposer is itself a site: run the follower insert+vote path
         // locally.
-        self.on_propose_at(self.id, index, entry, gate, out);
+        self.on_propose_at(self.core.id, index, entry, gate, out);
     }
 
     /// Event-driven re-targeting: when the log commits past a pending
@@ -1383,31 +1045,32 @@ impl FastRaftEngine {
     /// waiting for the proposal timeout. Keeps throughput stable under
     /// concurrent proposers (§IV-F's contention scenario).
     fn retarget_lost_proposals(&mut self, out: &mut Actions<FastRaftMessage>) {
-        if self.pending_proposals.is_empty() {
+        if self.core.proposals.is_empty() {
             return;
         }
         let lost: Vec<(EntryId, Payload)> = self
-            .pending_proposals
+            .core
+            .proposals
             .iter()
             .filter(|(id, p)| {
                 !p.index.is_zero()
-                    && p.index <= self.commit_index
-                    && self.log.get(p.index).is_none_or(|e| e.id != **id)
+                    && p.index <= self.core.commit_index
+                    && self.core.log.get(p.index).is_none_or(|e| e.id != **id)
             })
             .map(|(id, p)| (*id, p.payload.clone()))
             .collect();
         for (id, payload) in lost {
             let index = self.pick_proposal_index();
-            if let Some(p) = self.pending_proposals.get_mut(&id) {
+            if let Some(p) = self.core.proposals.get_mut(&id) {
                 p.index = index;
             }
             let entry = LogEntry {
-                term: self.current_term,
+                term: self.core.current_term,
                 id,
                 payload,
                 approval: Approval::SelfApproved,
             };
-            let peers: Vec<NodeId> = self.config.peers(self.id).collect();
+            let peers: Vec<NodeId> = self.core.config.peers(self.core.id).collect();
             out.send_many(
                 peers,
                 FastRaftMessage::ProposeAt {
@@ -1415,9 +1078,9 @@ impl FastRaftEngine {
                     entry: entry.clone(),
                 },
             );
-            if self.log.get(index).is_none() {
+            if self.core.log.get(index).is_none() {
                 let mut proceed = crate::gate::ProceedGate;
-                self.on_propose_at(self.id, index, entry, &mut proceed, out);
+                self.on_propose_at(self.core.id, index, entry, &mut proceed, out);
             } else {
                 self.send_vote_for_slot(index, out);
             }
@@ -1425,12 +1088,13 @@ impl FastRaftEngine {
     }
 
     fn retry_proposals(&mut self, out: &mut Actions<FastRaftMessage>) {
-        if self.pending_proposals.is_empty() {
+        if self.core.proposals.is_empty() {
             return;
         }
         if self.proposal_mode == ProposalMode::LeaderForward {
             let pendings: Vec<(EntryId, Payload)> = self
-                .pending_proposals
+                .core
+                .proposals
                 .iter()
                 .map(|(id, p)| (*id, p.payload.clone()))
                 .collect();
@@ -1440,30 +1104,35 @@ impl FastRaftEngine {
             }
             out.set_timer(
                 self.timers.map(TimerKind::ProposalRetry),
-                self.timing.proposal_timeout,
+                self.core.timing.proposal_timeout,
             );
             return;
         }
         let pendings: Vec<(EntryId, Payload, LogIndex)> = self
-            .pending_proposals
+            .core
+            .proposals
             .iter()
             .map(|(id, p)| (*id, p.payload.clone(), p.index))
             .collect();
         for (id, payload, old_index) in pendings {
             // If our entry still occupies its slot, re-gather votes for the
             // same index; if it was overwritten, re-target a fresh index.
-            let keep = self.log.get(old_index).is_some_and(|e| e.id == id);
-            let index = if keep { old_index } else { self.pick_proposal_index() };
-            if let Some(p) = self.pending_proposals.get_mut(&id) {
+            let keep = self.core.log.get(old_index).is_some_and(|e| e.id == id);
+            let index = if keep {
+                old_index
+            } else {
+                self.pick_proposal_index()
+            };
+            if let Some(p) = self.core.proposals.get_mut(&id) {
                 p.index = index;
             }
             let entry = LogEntry {
-                term: self.current_term,
+                term: self.core.current_term,
                 id,
                 payload,
                 approval: Approval::SelfApproved,
             };
-            let peers: Vec<NodeId> = self.config.peers(self.id).collect();
+            let peers: Vec<NodeId> = self.core.config.peers(self.core.id).collect();
             out.send_many(
                 peers,
                 FastRaftMessage::ProposeAt {
@@ -1473,18 +1142,18 @@ impl FastRaftEngine {
             );
             // Re-vote locally as well (ungated: slot content already gated
             // when first inserted; occupied slots vote without insert).
-            if self.log.get(index).is_none() {
+            if self.core.log.get(index).is_none() {
                 // Rare: our slot was truncated. Reinsert through the normal
                 // path; a no-op gate race here simply re-runs the gate.
                 let mut proceed = crate::gate::ProceedGate;
-                self.on_propose_at(self.id, index, entry, &mut proceed, out);
+                self.on_propose_at(self.core.id, index, entry, &mut proceed, out);
             } else {
                 self.send_vote_for_slot(index, out);
             }
         }
         out.set_timer(
             self.timers.map(TimerKind::ProposalRetry),
-            self.timing.proposal_timeout,
+            self.core.timing.proposal_timeout,
         );
     }
 
@@ -1504,8 +1173,8 @@ impl FastRaftEngine {
         // outside the configuration are ignored. Exceptions: client-level
         // traffic, and everything while we are not ourselves a member yet
         // (joiners must accept catch-up AppendEntries).
-        let exempt = msg.is_client_traffic() || !self.config.contains(self.id);
-        if !exempt && !self.config.contains(from) && !self.learners.contains(&from) {
+        let exempt = msg.is_client_traffic() || !self.core.config.contains(self.core.id);
+        if !exempt && !self.core.config.contains(from) && !self.learners.contains(&from) {
             out.observe(Observation::MessageIgnored {
                 reason: "sender not in configuration",
             });
@@ -1529,13 +1198,13 @@ impl FastRaftEngine {
                 leader_hint,
             } => {
                 if let Some(hint) = leader_hint {
-                    self.leader_hint = Some(hint);
+                    self.core.leader_hint = Some(hint);
                 }
-                if committed && self.pending_proposals.remove(&id).is_some() {
+                if committed && self.core.proposals.remove(&id).is_some() {
                     out.observe(Observation::ProposalCommitted {
                         id,
                         index: LogIndex::ZERO,
-                        scope: self.scope,
+                        scope: self.core.scope,
                     });
                 }
             }
@@ -1566,26 +1235,17 @@ impl FastRaftEngine {
                 lease_until,
             } => self.on_append_reply(from, term, success, match_index, probe, lease_until, out),
             FastRaftMessage::ClientRead { session, seq } => {
-                if self.role == Role::Leader {
+                if self.core.role == Role::Leader {
                     self.register_read(session, seq, from, gate, out);
                 } else {
-                    out.send(
-                        from,
-                        FastRaftMessage::ClientReply {
-                            session,
-                            seq,
-                            outcome: ClientOutcome::Redirect {
-                                leader_hint: self.leader_hint,
-                            },
-                        },
-                    );
+                    self.core.redirect(from, session, seq, out);
                 }
             }
             FastRaftMessage::ClientReply {
                 session,
                 seq,
                 outcome,
-            } => self.on_client_reply(session, seq, outcome, out),
+            } => self.core.on_client_reply(session, seq, outcome, out),
             FastRaftMessage::RequestVote {
                 term,
                 candidate,
@@ -1603,9 +1263,9 @@ impl FastRaftEngine {
                 leader_hint,
             } => {
                 if let Some(hint) = leader_hint {
-                    self.leader_hint = Some(hint);
+                    self.core.leader_hint = Some(hint);
                 }
-                if accepted && self.config.contains(self.id) {
+                if accepted && self.core.config.contains(self.core.id) {
                     self.finish_joining(out);
                 } else if !accepted && self.join_contacts.is_some() {
                     // Redirect noted; retry goes to the hinted leader.
@@ -1654,7 +1314,7 @@ impl FastRaftEngine {
                 // from a superseded term must not insert — the slot may
                 // since hold (even have committed) a newer leader's entry.
                 self.gated_decisions.remove(&index);
-                if self.role == Role::Leader && entry.term == self.current_term {
+                if self.core.role == Role::Leader && entry.term == self.core.current_term {
                     self.insert_leader_entry(index, entry, out);
                     self.advance_commit_classic(out);
                 }
@@ -1668,7 +1328,7 @@ impl FastRaftEngine {
                 let (stale, done) = {
                     let st = self.acks.get_mut(&ack).expect("ack state");
                     st.remaining -= 1;
-                    (st.term != self.current_term, st.remaining == 0)
+                    (st.term != self.core.current_term, st.remaining == 0)
                 };
                 if !stale {
                     self.apply_append_insert(index, entry, out);
@@ -1697,7 +1357,7 @@ impl FastRaftEngine {
         // Index ZERO marks a leader-forwarded proposal: the leader assigns
         // the slot; non-leaders redirect.
         if index.is_zero() {
-            if self.role == Role::Leader {
+            if self.core.role == Role::Leader {
                 self.leader_accept_forwarded(entry, gate, out);
             } else {
                 out.send(
@@ -1705,7 +1365,7 @@ impl FastRaftEngine {
                     FastRaftMessage::ProposeReply {
                         id: entry.id,
                         committed: false,
-                        leader_hint: self.leader_hint,
+                        leader_hint: self.core.leader_hint,
                     },
                 );
             }
@@ -1720,36 +1380,42 @@ impl FastRaftEngine {
         // Duplicate already committed? Notify the proposer (§IV-B step 1).
         // A mapping at or below the compaction horizon refers to an entry
         // whose slot was compacted away; it is committed by definition.
-        if let Some(&idx) = self.id_index.get(&entry.id) {
-            let committed = idx <= self.log.compacted_through()
-                || (idx <= self.commit_index
-                    && self.log.get(idx).is_some_and(|e| e.id == entry.id));
+        if let Some(&idx) = self.core.id_index.get(&entry.id) {
+            let committed = idx <= self.core.log.compacted_through()
+                || (idx <= self.core.commit_index
+                    && self.core.log.get(idx).is_some_and(|e| e.id == entry.id));
             if committed {
                 out.send(
                     entry.id.proposer,
                     FastRaftMessage::ProposeReply {
                         id: entry.id,
                         committed: true,
-                        leader_hint: self.leader_hint,
+                        leader_hint: self.core.leader_hint,
                     },
                 );
                 return;
             }
         }
-        if index <= self.log.compacted_through() {
+        if index <= self.core.log.compacted_through() {
             // The slot was decided and compacted away; nothing to insert or
             // vote for. A losing proposal re-targets from its retry path.
             return;
         }
         if index.as_u64()
-            > self.log.last_index().as_u64().max(self.commit_index.as_u64()) + MAX_INSERT_WINDOW
+            > self
+                .core
+                .log
+                .last_index()
+                .as_u64()
+                .max(self.core.commit_index.as_u64())
+                + MAX_INSERT_WINDOW
         {
             out.observe(Observation::MessageIgnored {
                 reason: "proposed index beyond the insert window",
             });
             return;
         }
-        if self.log.get(index).is_none() {
+        if self.core.log.get(index).is_none() {
             let e = entry.with_approval(Approval::SelfApproved);
             match gate.begin(index, &e, GatePurpose::ProposerInsert) {
                 GateVerdict::Proceed => self.finish_proposer_insert(index, e, out),
@@ -1771,42 +1437,42 @@ impl FastRaftEngine {
         entry: LogEntry,
         out: &mut Actions<FastRaftMessage>,
     ) {
-        if index <= self.log.compacted_through() {
+        if index <= self.core.log.compacted_through() {
             // The slot was decided and compacted while the insert was gated.
             return;
         }
-        if self.log.get(index).is_some() {
+        if self.core.log.get(index).is_some() {
             // Raced with an AppendEntries insert while gated; vote for the
             // now-present occupant instead.
             self.send_vote_for_slot(index, out);
             return;
         }
-        self.id_index.insert(entry.id, index);
+        self.core.id_index.insert(entry.id, index);
         out.persist(PersistCmd::Insert {
-            scope: self.scope,
+            scope: self.core.scope,
             index,
             entry: entry.clone(),
         });
-        self.log.insert(index, entry);
+        self.core.log.insert(index, entry);
         self.send_vote_for_slot(index, out);
     }
 
     /// §IV-B step 4: "Send log\[i\] and commitIndex to leaderId".
     fn send_vote_for_slot(&mut self, index: LogIndex, out: &mut Actions<FastRaftMessage>) {
-        let Some(entry) = self.log.get(index).cloned() else {
+        let Some(entry) = self.core.log.get(index).cloned() else {
             return;
         };
-        if self.role == Role::Leader {
+        if self.core.role == Role::Leader {
             // The leader is treated as a follower here (§IV-B): its own
             // vote goes straight into possibleEntries.
-            self.record_vote(self.id, index, entry, self.commit_index, out);
-        } else if let Some(leader) = self.leader_hint {
+            self.record_vote(self.core.id, index, entry, self.core.commit_index, out);
+        } else if let Some(leader) = self.core.leader_hint {
             out.send(
                 leader,
                 FastRaftMessage::Vote {
                     index,
                     entry,
-                    commit_index: self.commit_index,
+                    commit_index: self.core.commit_index,
                 },
             );
         }
@@ -1823,7 +1489,7 @@ impl FastRaftEngine {
         voter_commit: LogIndex,
         out: &mut Actions<FastRaftMessage>,
     ) {
-        if self.role != Role::Leader {
+        if self.core.role != Role::Leader {
             return;
         }
         self.record_vote(from, index, entry, voter_commit, out);
@@ -1839,20 +1505,20 @@ impl FastRaftEngine {
     ) {
         // §IV-B step 2: nextIndex[i] tracks the voter's commit index so the
         // classic track keeps it consistent with the leader.
-        if self.config.contains(from) || self.learners.contains(&from) {
+        if self.core.config.contains(from) || self.learners.contains(&from) {
             self.next_index.insert(from, voter_commit.next());
         }
-        if index <= self.commit_index {
+        if index <= self.core.commit_index {
             // Slot already decided. If this vote names the committed entry,
             // tell its proposer; otherwise the proposal lost this slot and
             // its proposer will retry elsewhere.
-            if self.log.get(index).is_some_and(|e| e.id == entry.id) {
+            if self.core.log.get(index).is_some_and(|e| e.id == entry.id) {
                 out.send(
                     entry.id.proposer,
                     FastRaftMessage::ProposeReply {
                         id: entry.id,
                         committed: true,
-                        leader_hint: Some(self.id),
+                        leader_hint: Some(self.core.id),
                     },
                 );
             }
@@ -1860,8 +1526,8 @@ impl FastRaftEngine {
         }
         // A vote for an entry that is already committed at a *different*
         // index is a null vote (duplicate suppression).
-        if let Some(&idx) = self.id_index.get(&entry.id) {
-            if idx <= self.commit_index && idx != index {
+        if let Some(&idx) = self.core.id_index.get(&entry.id) {
+            if idx <= self.core.commit_index && idx != index {
                 self.possible.record_null_vote(index, from);
                 return;
             }
@@ -1881,7 +1547,7 @@ impl FastRaftEngine {
     /// risking stomping a chosen-but-not-yet-re-decided slot (§IV-C).
     fn leader_log_settled(&self) -> bool {
         self.possible.max_index() <= self.last_leader_index
-            && self.log.last_index() <= self.last_leader_index
+            && self.core.log.last_index() <= self.last_leader_index
             && self.gated_decisions.is_empty()
     }
 
@@ -1892,8 +1558,8 @@ impl FastRaftEngine {
         // One slice pass over the contiguous run above the commit point —
         // the run iterator stops at the first hole by construction, so only
         // the approval needs checking per slot.
-        let mut k = self.commit_index.next();
-        for (i, e) in self.log.contiguous_from(k) {
+        let mut k = self.core.commit_index.next();
+        for (i, e) in self.core.log.contiguous_from(k) {
             if e.approval != Approval::LeaderApproved {
                 break;
             }
@@ -1920,8 +1586,8 @@ impl FastRaftEngine {
     /// have its decision loop re-fill the slot — two different entries
     /// committed at one index.
     fn leader_coverage(&self) -> LogIndex {
-        let mut k = self.commit_index;
-        for (i, e) in self.log.contiguous_from(k.next()) {
+        let mut k = self.core.commit_index;
+        for (i, e) in self.core.log.contiguous_from(k.next()) {
             if e.approval != Approval::LeaderApproved {
                 break;
             }
@@ -1930,23 +1596,19 @@ impl FastRaftEngine {
         k
     }
 
-    fn run_decision_loop(
-        &mut self,
-        gate: &mut dyn InsertGate,
-        out: &mut Actions<FastRaftMessage>,
-    ) {
-        if self.role != Role::Leader {
+    fn run_decision_loop(&mut self, gate: &mut dyn InsertGate, out: &mut Actions<FastRaftMessage>) {
+        if self.core.role != Role::Leader {
             return;
         }
         // Fast-track check at the head of the log: the fast track may only
         // commit commitIndex + 1 (§IV-B), and only for a current-term entry.
         loop {
-            let k = self.commit_index.next();
-            let Some(existing) = self.log.get(k).cloned() else {
+            let k = self.core.commit_index.next();
+            let Some(existing) = self.core.log.get(k).cloned() else {
                 break;
             };
             if existing.approval != Approval::LeaderApproved
-                || existing.term != self.current_term
+                || existing.term != self.core.current_term
             {
                 break;
             }
@@ -1967,7 +1629,7 @@ impl FastRaftEngine {
             if self.gated_decisions.contains(&k) {
                 break; // An insert for k is still replicating locally.
             }
-            if self.possible.voters_at(k) < self.config.classic_quorum() {
+            if self.possible.voters_at(k) < self.core.config.classic_quorum() {
                 break;
             }
             let chosen = match self.possible.most_voted(k) {
@@ -1975,19 +1637,11 @@ impl FastRaftEngine {
                 None => {
                     // Every vote was nulled: any entry may be inserted
                     // (§IV-B); use a no-op.
-                    LogEntry::noop(self.current_term, self.fresh_id(out))
+                    LogEntry::noop(self.core.current_term, self.core.fresh_id(out))
                 }
             };
-            if trace_enabled() {
-                eprintln!(
-                    "DECIDE {}@{:?} k={} chose {} voters={} votes_for_chosen={}",
-                    self.id, self.scope, k.as_u64(), chosen.id,
-                    self.possible.voters_at(k),
-                    self.possible.votes_for(k, chosen.id)
-                );
-            }
             let chosen = chosen
-                .with_term(self.current_term)
+                .with_term(self.core.current_term)
                 .with_approval(Approval::LeaderApproved);
             match gate.begin(k, &chosen, GatePurpose::DecisionInsert) {
                 GateVerdict::Proceed => {
@@ -2011,9 +1665,9 @@ impl FastRaftEngine {
     /// system is quiet (no votes pending beyond the log), that point is
     /// exactly `lastLeaderIndex + 1`.
     fn maybe_term_noop(&mut self, gate: &mut dyn InsertGate, out: &mut Actions<FastRaftMessage>) {
-        if self.role != Role::Leader
-            || self.commit_index >= self.last_leader_index
-            || self.log.term_at(self.last_leader_index) == self.current_term
+        if self.core.role != Role::Leader
+            || self.core.commit_index >= self.last_leader_index
+            || self.core.log.term_at(self.last_leader_index) == self.core.current_term
             || !self.gated_decisions.is_empty()
         {
             return;
@@ -2024,10 +1678,7 @@ impl FastRaftEngine {
             return;
         }
         let k = self.last_leader_index.next();
-        if trace_enabled() {
-            eprintln!("TERMNOOP {} k={}", self.id, k.as_u64());
-        }
-        let noop = LogEntry::noop(self.current_term, self.fresh_id(out));
+        let noop = LogEntry::noop(self.core.current_term, self.core.fresh_id(out));
         match gate.begin(k, &noop, GatePurpose::DecisionInsert) {
             GateVerdict::Proceed => {
                 self.insert_leader_entry(k, noop, out);
@@ -2048,7 +1699,7 @@ impl FastRaftEngine {
         chosen: LogEntry,
         out: &mut Actions<FastRaftMessage>,
     ) -> bool {
-        if k != self.decision_point() || self.role != Role::Leader {
+        if k != self.decision_point() || self.core.role != Role::Leader {
             // Stale continuation (the slot was decided another way or
             // leadership was lost while the gate replicated). Drop it; the
             // current machinery re-decides.
@@ -2060,8 +1711,8 @@ impl FastRaftEngine {
         // The fast track only ever commits the index right above the commit
         // point (§IV-B "the fast track can only be taken here if the last
         // index was committed").
-        if k == self.commit_index.next()
-            && chosen.term == self.current_term
+        if k == self.core.commit_index.next()
+            && chosen.term == self.core.current_term
             && self.fast_quorum_at(k)
         {
             self.commit_through(k, true, out);
@@ -2076,58 +1727,39 @@ impl FastRaftEngine {
         entry: LogEntry,
         out: &mut Actions<FastRaftMessage>,
     ) {
-        if trace_enabled() {
-            eprintln!("INSERT_LEADER {} k={} id={}", self.id, index.as_u64(), entry.id);
-        }
         debug_assert_eq!(entry.approval, Approval::LeaderApproved);
         // A decision overwriting a self-approved occupant must drop the
         // loser's id mapping: once the slot is compacted, the mapping alone
         // would answer the loser's retries as committed.
-        if let Some(old) = self.log.get(index) {
+        if let Some(old) = self.core.log.get(index) {
             if old.id != entry.id {
-                self.id_index.remove(&old.id);
+                self.core.id_index.remove(&old.id);
             }
         }
-        self.id_index.insert(entry.id, index);
+        self.core.id_index.insert(entry.id, index);
         if let Some(cfg) = entry.as_config() {
-            if index >= self.config_index {
+            if index >= self.core.config_index {
                 self.adopt_config(cfg.clone(), index, out);
             }
         }
         out.persist(PersistCmd::Insert {
-            scope: self.scope,
+            scope: self.core.scope,
             index,
             entry: entry.clone(),
         });
-        self.log.insert(index, entry);
+        self.core.log.insert(index, entry);
         if index > self.last_leader_index {
             self.last_leader_index = index;
         }
-        self.match_index.insert(self.id, self.last_leader_index);
-    }
-
-    /// Mints a proposal id, extending the persisted sequence reservation
-    /// when the current block is exhausted. The reservation rides the same
-    /// write-ahead channel as log inserts — it is durable before any
-    /// message carrying the id leaves this site.
-    fn fresh_id(&mut self, out: &mut Actions<FastRaftMessage>) -> EntryId {
-        if self.next_seq >= self.reserved_seqs {
-            self.reserved_seqs = self.next_seq + SEQ_RESERVE_BLOCK;
-            out.persist(PersistCmd::ReserveProposalSeqs {
-                scope: self.scope,
-                through: self.reserved_seqs,
-            });
-        }
-        let id = EntryId::new(self.id, self.next_seq);
-        self.next_seq += 1;
-        id
+        self.match_index
+            .insert(self.core.id, self.last_leader_index);
     }
 
     /// Highest proposal-sequence ceiling this engine has persisted; used by
     /// embeddings that cache engine state across deactivation (C-Raft's
     /// global side) to carry the floor forward.
     pub fn reserved_seqs(&self) -> u64 {
-        self.reserved_seqs
+        self.core.reserved_seqs()
     }
 
     fn update_fast_match(&mut self, k: LogIndex, chosen: EntryId) {
@@ -2138,7 +1770,10 @@ impl FastRaftEngine {
             }
         }
         // The leader holds the entry itself.
-        let fm = self.fast_match.entry(self.id).or_insert(LogIndex::ZERO);
+        let fm = self
+            .fast_match
+            .entry(self.core.id)
+            .or_insert(LogIndex::ZERO);
         if k > *fm {
             *fm = k;
         }
@@ -2146,34 +1781,36 @@ impl FastRaftEngine {
 
     fn fast_quorum_at(&self, k: LogIndex) -> bool {
         let count = self
+            .core
             .config
             .iter()
             .filter(|m| self.fast_match.get(m).copied().unwrap_or(LogIndex::ZERO) >= k)
             .count();
-        count >= self.config.fast_quorum()
+        count >= self.core.config.fast_quorum()
     }
 
     /// Liveness guard: re-propose a no-op at the blocked index after
     /// `hole_fill_ticks` stalled decision ticks (see module docs).
     fn maybe_fill_hole(&mut self, out: &mut Actions<FastRaftMessage>) {
         let k = self.decision_point();
-        let work_above = self.log.last_index() >= k || self.possible.max_index() >= k;
+        let work_above = self.core.log.last_index() >= k || self.possible.max_index() >= k;
         let blocked = work_above
-            && self.log.get(k).is_none_or(|e| e.approval == Approval::SelfApproved)
-            && self.possible.voters_at(k) < self.config.classic_quorum()
+            && self
+                .core
+                .log
+                .get(k)
+                .is_none_or(|e| e.approval == Approval::SelfApproved)
+            && self.possible.voters_at(k) < self.core.config.classic_quorum()
             && !self.gated_decisions.contains(&k);
         if !blocked {
             self.stalled_ticks = 0;
             return;
         }
         self.stalled_ticks += 1;
-        if self.stalled_ticks < self.timing.hole_fill_ticks {
+        if self.stalled_ticks < self.core.timing.hole_fill_ticks {
             return;
         }
         self.stalled_ticks = 0;
-        if trace_enabled() {
-            eprintln!("HOLEFILL {} k={} voters={}", self.id, k.as_u64(), self.possible.voters_at(k));
-        }
         self.fire_hole_repair(k, out);
     }
 
@@ -2193,15 +1830,16 @@ impl FastRaftEngine {
             || self.last_leader_index <= k
             || k <= self.last_proactive_repair
             || self.gated_decisions.contains(&k)
-            || self.log.get(k).is_some_and(|e| e.approval == Approval::LeaderApproved)
-            || self.possible.voters_at(k) >= self.config.classic_quorum()
+            || self
+                .core
+                .log
+                .get(k)
+                .is_some_and(|e| e.approval == Approval::LeaderApproved)
+            || self.possible.voters_at(k) >= self.core.config.classic_quorum()
         {
             return;
         }
         self.last_proactive_repair = k;
-        if trace_enabled() {
-            eprintln!("PROACTIVE_HOLEFILL {} k={}", self.id, k.as_u64());
-        }
         self.fire_hole_repair(k, out);
     }
 
@@ -2212,12 +1850,12 @@ impl FastRaftEngine {
     fn fire_hole_repair(&mut self, k: LogIndex, out: &mut Actions<FastRaftMessage>) {
         out.observe(Observation::HoleRepairTriggered { index: k });
         let entry = LogEntry {
-            term: self.current_term,
-            id: self.fresh_id(out),
+            term: self.core.current_term,
+            id: self.core.fresh_id(out),
             payload: Payload::Noop,
             approval: Approval::SelfApproved,
         };
-        let peers: Vec<NodeId> = self.config.peers(self.id).collect();
+        let peers: Vec<NodeId> = self.core.config.peers(self.core.id).collect();
         out.send_many(
             peers,
             FastRaftMessage::ProposeAt {
@@ -2226,7 +1864,7 @@ impl FastRaftEngine {
             },
         );
         let mut proceed = crate::gate::ProceedGate;
-        self.on_propose_at(self.id, k, entry, &mut proceed, out);
+        self.on_propose_at(self.core.id, k, entry, &mut proceed, out);
     }
 
     // ------------------------------------------------------------------
@@ -2234,12 +1872,12 @@ impl FastRaftEngine {
     // ------------------------------------------------------------------
 
     fn note_missed_beats(&mut self, out: &mut Actions<FastRaftMessage>) {
-        let peers: Vec<NodeId> = self.config.peers(self.id).collect();
+        let peers: Vec<NodeId> = self.core.config.peers(self.core.id).collect();
         let mut suspects = Vec::new();
         for peer in peers {
             let missed = self.missed_beats.entry(peer).or_insert(0);
             *missed += 1;
-            if *missed >= self.timing.member_timeout_beats {
+            if *missed >= self.core.timing.member_timeout_beats {
                 *missed = 0;
                 suspects.push(peer);
             }
@@ -2251,20 +1889,21 @@ impl FastRaftEngine {
     }
 
     fn dispatch_append_entries(&mut self, out: &mut Actions<FastRaftMessage>) {
-        let budget = self.timing.append_budget();
+        let budget = self.core.timing.append_budget();
         // Group followers by nextIndex: one budgeted batch is assembled per
         // distinct resume point, and the Arc-shared EntryList handle is
         // cloned per recipient — the fan-out shares a single allocation.
         let mut groups: BTreeMap<LogIndex, Vec<NodeId>> = BTreeMap::new();
         for peer in self
+            .core
             .config
-            .peers(self.id)
-            .chain(self.learners.iter().copied().filter(|l| *l != self.id))
+            .peers(self.core.id)
+            .chain(self.learners.iter().copied().filter(|l| *l != self.core.id))
         {
             let next = *self
                 .next_index
                 .get(&peer)
-                .unwrap_or(&self.commit_index.next());
+                .unwrap_or(&self.core.commit_index.next());
             groups.entry(next).or_default().push(peer);
         }
         for (next, peers) in groups {
@@ -2273,14 +1912,14 @@ impl FastRaftEngine {
             // compaction horizon, or is a fresh joiner): transfer the
             // compacted prefix as a snapshot; its ack moves nextIndex above
             // the horizon and replication resumes normally.
-            if next < self.log.first_index() {
+            if next < self.core.log.first_index() {
                 if let Some(snapshot) = self.current_snapshot() {
                     for peer in peers {
                         out.send(
                             peer,
                             FastRaftMessage::InstallSnapshot {
-                                term: self.current_term,
-                                leader: self.id,
+                                term: self.core.current_term,
+                                leader: self.core.id,
                                 snapshot: snapshot.clone(),
                             },
                         );
@@ -2291,7 +1930,8 @@ impl FastRaftEngine {
             // §IV-B: include entries from nextIndex through lastLeaderIndex.
             let entries = if self.last_leader_index >= next {
                 let list =
-                    self.log
+                    self.core
+                        .log
                         .collect_range_budgeted(next, self.last_leader_index, budget);
                 debug_assert!(list
                     .iter()
@@ -2304,13 +1944,13 @@ impl FastRaftEngine {
                 out.send(
                     peer,
                     FastRaftMessage::AppendEntries {
-                        term: self.current_term,
-                        leader: self.id,
+                        term: self.core.current_term,
+                        leader: self.core.id,
                         prev_index: next.prev_saturating(),
                         entries: entries.clone(),
-                        leader_commit: self.commit_index,
+                        leader_commit: self.core.commit_index,
                         global_commit: LogIndex::ZERO,
-                        probe: self.reads.probe(),
+                        probe: self.core.reads.probe(),
                     },
                 );
             }
@@ -2331,11 +1971,11 @@ impl FastRaftEngine {
         gate: &mut dyn InsertGate,
         out: &mut Actions<FastRaftMessage>,
     ) {
-        if term < self.current_term {
+        if term < self.core.current_term {
             out.send(
                 from,
                 FastRaftMessage::AppendEntriesReply {
-                    term: self.current_term,
+                    term: self.core.current_term,
                     success: false,
                     match_index: LogIndex::ZERO,
                     probe: 0,
@@ -2344,18 +1984,18 @@ impl FastRaftEngine {
             );
             return;
         }
-        let leader_changed = self.leader_hint != Some(leader) || term > self.current_term;
+        let leader_changed = self.core.leader_hint != Some(leader) || term > self.core.current_term;
         self.silent_elections = 0;
-        if term > self.current_term || self.role != Role::Follower {
+        if term > self.core.current_term || self.core.role != Role::Follower {
             self.become_follower(term, Some(leader), out);
         } else {
-            self.leader_hint = Some(leader);
+            self.core.leader_hint = Some(leader);
             self.reset_election_timer(out);
         }
         if leader_changed {
             // Entries verified against a previous leader may diverge above
             // the commit point; re-verify against the new leader.
-            self.verified = self.commit_index;
+            self.verified = self.core.commit_index;
         }
         // NOTE: prev_index is deliberately NOT trusted to raise `verified`.
         // Mere presence of entries through prev_index proves nothing — a
@@ -2377,7 +2017,7 @@ impl FastRaftEngine {
         // so commits can never cross a hole. The hole itself is repaired by
         // the leader's decision loop / hole filling, after which the resend
         // from the acked matchIndex extends the prefix normally.
-        let anchor = self.verified.max(self.commit_index);
+        let anchor = self.verified.max(self.core.commit_index);
         let mut new_match = anchor;
         for (idx, _) in entries.iter() {
             if *idx <= new_match {
@@ -2395,15 +2035,20 @@ impl FastRaftEngine {
         // every other recipient of this batch; entries that land are cloned
         // out of it so the per-site approval stamp never touches the shared
         // allocation.
-        let insert_bound =
-            self.log.last_index().as_u64().max(self.commit_index.as_u64()) + MAX_INSERT_WINDOW;
+        let insert_bound = self
+            .core
+            .log
+            .last_index()
+            .as_u64()
+            .max(self.core.commit_index.as_u64())
+            + MAX_INSERT_WINDOW;
         let mut to_insert = Vec::new();
         for (idx, entry) in entries.iter() {
             let idx = *idx;
             // Entries at or below the commit index are already decided (and
             // possibly compacted away); writing there is never needed and
             // would violate the compaction horizon.
-            if idx <= self.commit_index {
+            if idx <= self.core.commit_index {
                 continue;
             }
             // Defensive: an index absurdly far above this log would force
@@ -2413,7 +2058,7 @@ impl FastRaftEngine {
             if idx.as_u64() > insert_bound {
                 continue;
             }
-            let needs_write = match self.log.get(idx) {
+            let needs_write = match self.core.log.get(idx) {
                 None => true,
                 Some(existing) => {
                     existing.id != entry.id
@@ -2475,7 +2120,7 @@ impl FastRaftEngine {
                 ack_id,
                 AckState {
                     from,
-                    term: self.current_term,
+                    term: self.core.current_term,
                     match_index: new_match,
                     leader_commit,
                     probe,
@@ -2491,28 +2136,28 @@ impl FastRaftEngine {
         entry: LogEntry,
         out: &mut Actions<FastRaftMessage>,
     ) {
-        if index <= self.log.compacted_through() {
+        if index <= self.core.log.compacted_through() {
             // The slot was committed and compacted (e.g. a snapshot arrived
             // while this insert was gated); the write is obsolete.
             return;
         }
-        if let Some(old) = self.log.get(index) {
+        if let Some(old) = self.core.log.get(index) {
             if old.id != entry.id {
-                self.id_index.remove(&old.id);
+                self.core.id_index.remove(&old.id);
             }
         }
-        self.id_index.insert(entry.id, index);
+        self.core.id_index.insert(entry.id, index);
         if let Some(cfg) = entry.as_config() {
-            if index >= self.config_index {
+            if index >= self.core.config_index {
                 self.adopt_config(cfg.clone(), index, out);
             }
         }
         out.persist(PersistCmd::Insert {
-            scope: self.scope,
+            scope: self.core.scope,
             index,
             entry: entry.clone(),
         });
-        self.log.insert(index, entry);
+        self.core.log.insert(index, entry);
         // These entries are leader-approved: they advance lastLeaderIndex,
         // which drives election up-to-dateness (§IV-C).
         if index > self.last_leader_index {
@@ -2532,38 +2177,25 @@ impl FastRaftEngine {
         // verified (deviation from the paper's `lastLogIndex` clamp — see
         // module docs; this keeps the committed prefix contiguous and
         // leader-verified).
-        if leader_commit > self.commit_index {
+        if leader_commit > self.core.commit_index {
             let target = leader_commit.min(match_index);
-            if target > self.commit_index {
+            if target > self.core.commit_index {
                 self.commit_through_follower(target, out);
             }
         }
         out.send(
             from,
             FastRaftMessage::AppendEntriesReply {
-                term: self.current_term,
+                term: self.core.current_term,
                 success: true,
                 match_index,
                 probe,
                 // Grant stamped at reply time, not receive time: a gated
                 // (deferred) ack that resolves later simply carries a
                 // fresher promise.
-                lease_until: self.emit_lease_grant(from),
+                lease_until: self.core.emit_lease_grant(from),
             },
         );
-    }
-
-    /// Follower-side lease grant riding an append ack: a promise not to
-    /// vote for anyone but `leader` before `now + lease_duration` on this
-    /// engine's clock, enforced locally via [`VoteHold`]. Returns
-    /// [`SimTime::ZERO`] (no grant) when clockless or leases are disabled.
-    fn emit_lease_grant(&mut self, leader: NodeId) -> SimTime {
-        if self.local_now == SimTime::ZERO || self.timing.lease_duration.is_zero() {
-            return SimTime::ZERO;
-        }
-        let until = self.local_now + self.timing.lease_duration;
-        self.vote_hold.note_grant(leader, until);
-        until
     }
 
     fn finish_append_ack(&mut self, st: AckState, out: &mut Actions<FastRaftMessage>) {
@@ -2571,7 +2203,7 @@ impl FastRaftEngine {
         // If the term changed while the gates were open, the verification is
         // stale — entries at those slots may since belong to a newer leader;
         // drop the ack and let the current leader re-establish the prefix.
-        if st.term != self.current_term {
+        if st.term != self.core.current_term {
             return;
         }
         // The log is insert-only, so the contiguous run this batch verified
@@ -2594,28 +2226,14 @@ impl FastRaftEngine {
         lease_until: SimTime,
         out: &mut Actions<FastRaftMessage>,
     ) {
-        if term > self.current_term {
+        if term > self.core.current_term {
             self.become_follower(term, None, out);
             return;
         }
-        if self.role != Role::Leader || term < self.current_term {
+        if self.core.role != Role::Leader || term < self.core.current_term {
             return;
         }
-        // Collect the follower's lease grant. A rejected grant means the
-        // granter's clock runs ahead beyond the modeled bound: the lease
-        // quietly degrades to the ReadIndex fallback rather than counting
-        // an unsound promise.
-        if !self.lease.record_grant(
-            from,
-            lease_until,
-            self.local_now,
-            self.timing.lease_duration,
-            self.timing.max_clock_skew,
-        ) {
-            out.observe(Observation::MessageIgnored {
-                reason: "lease grant beyond clock-skew bound",
-            });
-        }
+        self.core.record_lease_grant(from, lease_until, out);
         if success {
             // match_index is monotone (acked entries are persisted at the
             // follower), but nextIndex follows the ack exactly: a follower
@@ -2631,35 +2249,36 @@ impl FastRaftEngine {
             self.maybe_proactive_repair(match_index, out);
             // A current-term ack confirms leadership for ReadIndex rounds
             // registered at or before the echoed probe.
-            self.note_read_ack(from, probe, out);
+            self.core.note_read_ack(from, probe, out);
         } else {
             // Stale-term rejection carries no hint; rewind to the commit
             // point so the next dispatch re-sends the suffix.
-            self.next_index.insert(from, self.commit_index.next());
+            self.next_index.insert(from, self.core.commit_index.next());
         }
     }
 
     /// Classic-track commit rule: highest `k` with a classic quorum of
     /// matchIndex ≥ k and `log[k].term == currentTerm`.
     fn advance_commit_classic(&mut self, out: &mut Actions<FastRaftMessage>) {
-        let quorum = self.config.classic_quorum();
+        let quorum = self.core.config.classic_quorum();
         // The committed prefix must stay contiguous and leader-approved, but
         // `lastLeaderIndex` can sit *above* a hole (a non-extending append
         // still inserts its leader-approved entries). Cap the scan at the
         // end of the contiguous leader-approved run above commitIndex; the
         // decision loop / hole filling repairs the hole, after which the run
         // extends and the suffix becomes committable.
-        let mut reach = self.commit_index;
-        for (i, e) in self.log.contiguous_from(self.commit_index.next()) {
+        let mut reach = self.core.commit_index;
+        for (i, e) in self.core.log.contiguous_from(self.core.commit_index.next()) {
             if i > self.last_leader_index || e.approval != Approval::LeaderApproved {
                 break;
             }
             reach = i;
         }
         let mut k = reach;
-        while k > self.commit_index {
-            if self.log.term_at(k) == self.current_term {
+        while k > self.core.commit_index {
+            if self.core.log.term_at(k) == self.core.current_term {
                 let acks = self
+                    .core
                     .config
                     .iter()
                     .filter(|m| {
@@ -2672,7 +2291,7 @@ impl FastRaftEngine {
             }
             k = k.prev();
         }
-        if k > self.commit_index {
+        if k > self.core.commit_index {
             self.commit_through(k, false, out);
         }
     }
@@ -2695,12 +2314,12 @@ impl FastRaftEngine {
         fast: bool,
         out: &mut Actions<FastRaftMessage>,
     ) {
-        let old = self.commit_index;
+        let old = self.core.commit_index;
         if new_commit <= old {
             return;
         }
-        self.commit_index = new_commit;
-        let inline = !self.timing.pipelined_apply;
+        self.core.commit_index = new_commit;
+        let inline = !self.core.timing.pipelined_apply;
         let mut k = old.next();
         while k <= new_commit {
             if fast {
@@ -2710,14 +2329,14 @@ impl FastRaftEngine {
             }
             if inline {
                 self.emit_commit_effects(k, out);
-                self.applied_index = k;
+                self.core.applied_index = k;
             }
             k = k.next();
         }
         self.possible.release_through(new_commit);
         self.retarget_lost_proposals(out);
         if inline {
-            self.maybe_compact(out);
+            self.core.maybe_compact(out);
         }
     }
 
@@ -2727,24 +2346,24 @@ impl FastRaftEngine {
         new_commit: LogIndex,
         out: &mut Actions<FastRaftMessage>,
     ) {
-        let old = self.commit_index;
+        let old = self.core.commit_index;
         if new_commit <= old {
             return;
         }
-        self.commit_index = new_commit;
-        let inline = !self.timing.pipelined_apply;
+        self.core.commit_index = new_commit;
+        let inline = !self.core.timing.pipelined_apply;
         if inline {
             let mut k = old.next();
             while k <= new_commit {
                 self.emit_commit_effects(k, out);
-                self.applied_index = k;
+                self.core.applied_index = k;
                 k = k.next();
             }
         }
         self.possible.release_through(new_commit);
         self.retarget_lost_proposals(out);
         if inline {
-            self.maybe_compact(out);
+            self.core.maybe_compact(out);
         }
     }
 
@@ -2754,146 +2373,27 @@ impl FastRaftEngine {
     /// gateway notifications, commit records, compaction, and the release
     /// of reads whose floor the state machine just reached.
     pub fn drain_applies(&mut self, out: &mut Actions<FastRaftMessage>) {
-        while self.applied_index < self.commit_index {
-            let k = self.applied_index.next();
+        while self.core.applied_index < self.core.commit_index {
+            let k = self.core.applied_index.next();
             self.emit_commit_effects(k, out);
-            self.applied_index = k;
+            self.core.applied_index = k;
         }
-        self.maybe_compact(out);
-        self.release_applied_reads(out);
+        self.core.maybe_compact(out);
+        self.core.release_applied_reads(out);
     }
 
     /// Number of committed-but-unapplied indices queued for pipelined
     /// apply; always zero at step boundaries in inline mode.
     pub fn pending_applies(&self) -> u64 {
-        self.commit_index.as_u64() - self.applied_index.as_u64()
-    }
-
-    /// Answers queued linearizable reads whose admission floor the applied
-    /// state now covers (pipelined apply only; a no-op inline, where reads
-    /// are never queued).
-    fn release_applied_reads(&mut self, out: &mut Actions<FastRaftMessage>) {
-        if self.reads_awaiting_apply.is_empty() {
-            return;
-        }
-        let applied = self.applied_index;
-        let ready: Vec<PendingReadAnswer> = {
-            let (ready, waiting) = std::mem::take(&mut self.reads_awaiting_apply)
-                .into_iter()
-                .partition(|r| r.floor <= applied);
-            self.reads_awaiting_apply = waiting;
-            ready
-        };
-        for r in ready {
-            self.respond_client(
-                r.reply_to,
-                r.session,
-                r.seq,
-                ClientOutcome::ReadOk {
-                    scope: self.scope,
-                    commit_floor: r.floor,
-                },
-                out,
-            );
-        }
-    }
-
-    /// Emits a linearizable read's answer — immediately when the applied
-    /// state already covers the admission floor (always true inline),
-    /// queued behind the apply pipeline otherwise, so the client can never
-    /// observe state older than the floor its read was admitted at.
-    fn answer_read(
-        &mut self,
-        reply_to: NodeId,
-        session: SessionId,
-        seq: u64,
-        floor: LogIndex,
-        out: &mut Actions<FastRaftMessage>,
-    ) {
-        if floor <= self.applied_index {
-            self.respond_client(
-                reply_to,
-                session,
-                seq,
-                ClientOutcome::ReadOk {
-                    scope: self.scope,
-                    commit_floor: floor,
-                },
-                out,
-            );
-        } else {
-            self.reads_awaiting_apply.push(PendingReadAnswer {
-                reply_to,
-                session,
-                seq,
-                floor,
-            });
-        }
+        self.core.pending_applies()
     }
 
     fn emit_commit_effects(&mut self, k: LogIndex, out: &mut Actions<FastRaftMessage>) {
-        let Some(entry) = self.log.get(k).cloned() else {
+        let Some(entry) = self.core.log.get(k).cloned() else {
             debug_assert!(false, "committing a hole at {k}");
             return;
         };
-        self.state_digest = fold_commit_digest(self.state_digest, k, entry.id);
-        // Exactly-once apply for session-tagged payloads (client writes and
-        // global batches): the dedup table is part of applied state, so
-        // every replica makes the same first-application decision — a
-        // retried seq that commits at a second index is a no-op everywhere.
-        let is_register = matches!(entry.payload, Payload::Register { .. });
-        let session_outcome = entry.payload.session_key().map(|(session, seq)| {
-            // Apply-time expiry check — authoritative: the table covers
-            // every commit below `k`, so an untracked session at seq > 1
-            // *was* evicted. Without this, a duplicate placement of the
-            // same seq still sitting in the log when the eviction ran
-            // would re-apply here (its dedup history is gone). Identical
-            // on every replica (same table at the same `k`), no digest
-            // fold — replicas stay convergent. A registration is exempt:
-            // it carries no value, so re-applying one past an eviction
-            // merely re-opens an empty session — exactly the property that
-            // lets registered sessions close the seq-1 boundary window.
-            if !is_register
-                && self.timing.session_ttl > 0
-                && self.sessions.is_expired_retry(session, seq)
-            {
-                return (session, seq, ClientOutcome::SessionExpired);
-            }
-            match self.sessions.apply(session, seq, k) {
-                SessionApply::Applied => {
-                    self.state_digest = fold_session_digest(self.state_digest, session, seq);
-                    out.observe(Observation::SessionApplied {
-                        scope: self.scope,
-                        session,
-                        seq,
-                        index: k,
-                    });
-                    let outcome = if is_register {
-                        ClientOutcome::Registered { session, index: k }
-                    } else {
-                        ClientOutcome::Committed { index: k }
-                    };
-                    (session, seq, outcome)
-                }
-                SessionApply::Duplicate { first_index } => {
-                    out.observe(Observation::SessionDuplicate {
-                        scope: self.scope,
-                        session,
-                        seq,
-                        first_index,
-                    });
-                    let outcome = if is_register {
-                        ClientOutcome::Registered {
-                            session,
-                            index: first_index,
-                        }
-                    } else {
-                        ClientOutcome::Duplicate { first_index }
-                    };
-                    (session, seq, outcome)
-                }
-            }
-        });
+        self.core.state_digest = fold_commit_digest(self.core.state_digest, k, entry.id);
         match &entry.payload {
             Payload::Config(cfg) => {
                 out.observe(Observation::ConfigCommitted {
@@ -2907,7 +2407,7 @@ impl FastRaftEngine {
                             joiner,
                             FastRaftMessage::JoinReply {
                                 accepted: true,
-                                leader_hint: Some(self.id),
+                                leader_hint: Some(self.core.id),
                             },
                         );
                         out.observe(Observation::JoinAccepted { node: joiner });
@@ -2916,31 +2416,12 @@ impl FastRaftEngine {
                 }
                 // A committed config naming us while we were joining
                 // finalizes membership.
-                if cfg.contains(self.id) && self.join_contacts.is_some() {
+                if cfg.contains(self.core.id) && self.join_contacts.is_some() {
                     self.finish_joining(out);
                 }
             }
             Payload::Write { .. } | Payload::Register { .. } => {
-                let (session, seq, outcome) =
-                    session_outcome.clone().expect("write has a session key");
-                if entry.id.proposer == self.id {
-                    self.pending_proposals.remove(&entry.id);
-                }
-                if self.client_pending.contains_key(&(session, seq)) {
-                    // The gateway observes its own commit: answer here.
-                    self.respond_client(self.id, session, seq, outcome, out);
-                } else if self.role == Role::Leader && entry.id.proposer != self.id {
-                    // Covers gateways lagging behind the commit (they
-                    // ignore non-pending replies).
-                    out.send(
-                        entry.id.proposer,
-                        FastRaftMessage::ClientReply {
-                            session,
-                            seq,
-                            outcome,
-                        },
-                    );
-                }
+                self.core.apply_client_write(k, &entry, out);
             }
             Payload::Batch(b) => {
                 // Item-wise exactly-once apply: a value whose item landed in
@@ -2964,175 +2445,62 @@ impl FastRaftEngine {
                     // a duplicate item placement outliving a global
                     // eviction re-applies, which only loses dedup, never
                     // data.
-                    match self.sessions.apply(session, seq, k) {
-                        SessionApply::Applied => {
-                            self.state_digest =
-                                fold_session_digest(self.state_digest, session, seq);
-                            out.observe(Observation::SessionApplied {
-                                scope: self.scope,
-                                session,
-                                seq,
-                                index: k,
-                            });
-                        }
-                        SessionApply::Duplicate { first_index } => {
-                            out.observe(Observation::SessionDuplicate {
-                                scope: self.scope,
-                                session,
-                                seq,
-                                first_index,
-                            });
-                        }
-                    }
+                    self.core.apply_session(session, seq, k, out);
                 }
-                let proposer = entry.id.proposer;
-                if proposer == self.id {
-                    if self.pending_proposals.remove(&entry.id).is_some() {
-                        out.observe(Observation::ProposalCommitted {
-                            id: entry.id,
-                            index: k,
-                            scope: self.scope,
-                        });
-                    }
-                } else if self.role == Role::Leader {
-                    out.send(
-                        proposer,
-                        FastRaftMessage::ProposeReply {
-                            id: entry.id,
-                            committed: true,
-                            leader_hint: Some(self.id),
-                        },
-                    );
-                }
+                self.notify_proposer(k, &entry, out);
             }
-            Payload::Data(_) => {
-                let proposer = entry.id.proposer;
-                if proposer == self.id {
-                    if self.pending_proposals.remove(&entry.id).is_some() {
-                        out.observe(Observation::ProposalCommitted {
-                            id: entry.id,
-                            index: k,
-                            scope: self.scope,
-                        });
-                    }
-                } else if self.role == Role::Leader {
-                    out.send(
-                        proposer,
-                        FastRaftMessage::ProposeReply {
-                            id: entry.id,
-                            committed: true,
-                            leader_hint: Some(self.id),
-                        },
-                    );
-                }
-            }
+            Payload::Data(_) => self.notify_proposer(k, &entry, out),
             Payload::Noop | Payload::GlobalState(_) => {
                 // Internal entries; GlobalState commits are consumed by the
                 // C-Raft layer through the Actions::commits channel.
-                if entry.id.proposer == self.id {
-                    self.pending_proposals.remove(&entry.id);
+                if entry.id.proposer == self.core.id {
+                    self.core.proposals.remove(&entry.id);
                 }
             }
         }
-        // Deterministic session expiry: idleness is measured in committed
-        // log distance, and the sweep runs once per committed index — every
-        // replica applies the identical eviction sequence regardless of how
-        // its commits were batched, so the digest fold keeps snapshots
-        // convergent.
-        for session in self.sessions.evict_idle(k, self.timing.session_ttl) {
-            self.state_digest = wire::fold_session_evicted(self.state_digest, session);
-            out.observe(Observation::SessionEvicted {
-                scope: self.scope,
-                session,
-                at: k,
-            });
+        self.core.evict_idle_sessions(k, out);
+        out.commit(self.core.scope, k, entry);
+    }
+
+    /// A committed plain proposal (data or a C-Raft batch): the proposer
+    /// retires it, and the leader tells a remote proposer.
+    fn notify_proposer(
+        &mut self,
+        k: LogIndex,
+        entry: &LogEntry,
+        out: &mut Actions<FastRaftMessage>,
+    ) {
+        let proposer = entry.id.proposer;
+        if proposer == self.core.id {
+            if self.core.proposals.remove(&entry.id).is_some() {
+                out.observe(Observation::ProposalCommitted {
+                    id: entry.id,
+                    index: k,
+                    scope: self.core.scope,
+                });
+            }
+        } else if self.core.role == Role::Leader {
+            out.send(
+                proposer,
+                FastRaftMessage::ProposeReply {
+                    id: entry.id,
+                    committed: true,
+                    leader_hint: Some(self.core.id),
+                },
+            );
         }
-        out.commit(self.scope, k, entry);
     }
 
     // ------------------------------------------------------------------
     // Snapshots + log compaction
     // ------------------------------------------------------------------
 
-    /// Compacts the committed prefix into a snapshot once its retained
-    /// length exceeds [`Timing::snapshot_threshold`]. Every role compacts —
-    /// the committed prefix is immutable everywhere — so per-site log
-    /// residency stays bounded, not just the leader's. Compaction never
-    /// crosses a hole (the committed prefix is contiguous by construction,
-    /// and [`wire::SparseLog::compact_to`] clamps regardless).
-    fn maybe_compact(&mut self, out: &mut Actions<FastRaftMessage>) {
-        let threshold = self.timing.snapshot_threshold;
-        if threshold == 0 {
-            return;
-        }
-        let horizon = self.log.compacted_through();
-        // Compaction is bounded by the *applied* prefix, not the committed
-        // one: the snapshot captures digest + session table, which are
-        // apply-time state. Inline, applied == committed here; pipelined,
-        // compaction simply runs at the drain stage.
-        let retained_decided = self.applied_index.as_u64().saturating_sub(horizon.as_u64());
-        if retained_decided <= threshold {
-            return;
-        }
-        let through = self.applied_index;
-        let snapshot = Snapshot {
-            scope: self.scope,
-            last_index: through,
-            last_term: self.log.term_at(through),
-            config: self.config_for_snapshot(through),
-            state: Snapshot::digest_state(self.state_digest),
-            sessions: self.sessions.clone(),
-        };
-        out.persist(PersistCmd::InstallSnapshot {
-            snapshot: snapshot.clone(),
-        });
-        let new_horizon = self.log.compact_to(through);
-        debug_assert_eq!(new_horizon, through, "committed prefix must be contiguous");
-        self.snapshot = Some(snapshot);
-        out.observe(Observation::LogCompacted {
-            scope: self.scope,
-            through,
-            retained: self.log.len(),
-        });
-    }
-
-    /// The configuration in force at `through`: the current configuration
-    /// when its entry sits at or below the cut, otherwise the newest config
-    /// entry inside the retained prefix (falling back to the previous
-    /// snapshot's, then the current configuration).
-    fn config_for_snapshot(&self, through: LogIndex) -> Configuration {
-        if self.config_index <= through {
-            return self.config.clone();
-        }
-        let mut cfg = self.snapshot.as_ref().map(|s| s.config.clone());
-        for (_, e) in self.log.range(self.log.first_index(), through) {
-            if let Some(c) = e.as_config() {
-                cfg = Some(c.clone());
-            }
-        }
-        cfg.unwrap_or_else(|| self.config.clone())
-    }
-
     /// The snapshot to serve laggards: the cached one (compaction refreshes
     /// it), synthesized from the log's horizon if a recovery path lost it.
     /// Public so the C-Raft layer can cache the global engine's snapshot
     /// across deactivation.
     pub fn current_snapshot(&self) -> Option<Snapshot> {
-        let horizon = self.log.compacted_through();
-        if horizon.is_zero() {
-            return None;
-        }
-        match &self.snapshot {
-            Some(s) if s.last_index == horizon => Some(s.clone()),
-            _ => Some(Snapshot {
-                scope: self.scope,
-                last_index: horizon,
-                last_term: self.log.compacted_term(),
-                config: self.config_for_snapshot(horizon),
-                state: Snapshot::digest_state(self.state_digest),
-                sessions: self.sessions.clone(),
-            }),
-        }
+        self.core.current_snapshot()
     }
 
     /// Laggard side of a snapshot transfer (§IV-D catch-up): replace the
@@ -3150,101 +2518,36 @@ impl FastRaftEngine {
         snapshot: Snapshot,
         out: &mut Actions<FastRaftMessage>,
     ) {
-        if term < self.current_term {
-            out.send(
-                from,
-                FastRaftMessage::InstallSnapshotReply {
-                    term: self.current_term,
-                    last_index: LogIndex::ZERO,
-                },
-            );
+        if term < self.core.current_term {
+            self.core.ack_snapshot(from, LogIndex::ZERO, out);
             return;
         }
         self.silent_elections = 0;
-        let leader_changed = self.leader_hint != Some(leader) || term > self.current_term;
-        if term > self.current_term || self.role != Role::Follower {
+        let leader_changed = self.core.leader_hint != Some(leader) || term > self.core.current_term;
+        if term > self.core.current_term || self.core.role != Role::Follower {
             self.become_follower(term, Some(leader), out);
         } else {
-            self.leader_hint = Some(leader);
+            self.core.leader_hint = Some(leader);
             self.reset_election_timer(out);
         }
         if leader_changed {
-            self.verified = self.commit_index;
+            self.verified = self.core.commit_index;
         }
-        let last_index = snapshot.last_index;
-        if last_index <= self.commit_index {
-            // Stale transfer: everything it covers is already committed
-            // here. Ack our actual coverage so the leader resumes higher.
-            out.send(
-                from,
-                FastRaftMessage::InstallSnapshotReply {
-                    term: self.current_term,
-                    last_index: self.commit_index,
-                },
-            );
+        let Some(adopt_config) = self.core.begin_snapshot_install(from, &snapshot, out) else {
             return;
-        }
-        if trace_enabled() {
-            eprintln!(
-                "INSTALL_SNAPSHOT {}@{:?} through={}",
-                self.id,
-                self.scope,
-                last_index.as_u64()
-            );
-        }
-        let old_commit = self.commit_index;
-        out.persist(PersistCmd::InstallSnapshot {
-            snapshot: snapshot.clone(),
-        });
-        self.log.install_snapshot(last_index, snapshot.last_term);
-        // Drop id mappings for entries the install discarded. Only mappings
-        // at or below the *pre-install* commit index are known committed
-        // (and may keep answering duplicate proposals as such) — an
-        // uncommitted self-approved entry below the new horizon may have
-        // lost its slot to a different entry, and must not be reported
-        // committed.
-        let log = &self.log;
-        self.id_index
-            .retain(|_, idx| *idx <= old_commit || log.get(*idx).is_some());
-        // Adopt the snapshot's configuration unless a *surviving* config
-        // entry above the horizon supersedes it; a config entry the install
-        // discarded (conflicting suffix) must no longer be obeyed.
-        if self.config_index <= last_index || self.log.get(self.config_index).is_none() {
+        };
+        let last_index = snapshot.last_index;
+        if adopt_config {
             self.adopt_config(snapshot.config.clone(), last_index, out);
         }
-        if let Some(digest) = snapshot.state_digest() {
-            self.state_digest = digest;
-        }
-        // Adopt the applied session state: the snapshot's table covers
-        // strictly more commits than ours (last_index > old commit). The
-        // apply pipeline fast-forwards with it — the snapshot state already
-        // subsumes any queued-but-undrained range, whose entries the
-        // install just discarded.
-        self.sessions = snapshot.sessions.clone();
-        self.commit_index = last_index;
-        self.applied_index = last_index;
         self.verified = self.verified.max(last_index);
         if last_index > self.last_leader_index {
             self.last_leader_index = last_index;
         }
         self.possible.release_through(last_index);
-        self.snapshot = Some(snapshot);
-        out.observe(Observation::SnapshotInstalled {
-            scope: self.scope,
-            last_index,
-        });
-        // Gateway sweep: writes submitted here whose application the
-        // install fast-forwarded past must still be answered.
-        self.sweep_client_pending(out);
-        self.release_applied_reads(out);
+        self.core.finish_snapshot_install(snapshot, out);
         self.retarget_lost_proposals(out);
-        out.send(
-            from,
-            FastRaftMessage::InstallSnapshotReply {
-                term: self.current_term,
-                last_index,
-            },
-        );
+        self.core.ack_snapshot(from, last_index, out);
     }
 
     fn on_install_snapshot_reply(
@@ -3254,11 +2557,11 @@ impl FastRaftEngine {
         last_index: LogIndex,
         out: &mut Actions<FastRaftMessage>,
     ) {
-        if term > self.current_term {
+        if term > self.core.current_term {
             self.become_follower(term, None, out);
             return;
         }
-        if self.role != Role::Leader || term < self.current_term {
+        if self.core.role != Role::Leader || term < self.core.current_term {
             return;
         }
         let m = self.match_index.entry(from).or_insert(LogIndex::ZERO);
@@ -3280,22 +2583,22 @@ impl FastRaftEngine {
         leader: Option<NodeId>,
         out: &mut Actions<FastRaftMessage>,
     ) {
-        let was_leader = self.role == Role::Leader;
+        let was_leader = self.core.role == Role::Leader;
         // Leadership (or the term it was confirmed under) is gone: any read
         // still awaiting its ReadIndex confirmation must not be answered,
         // and collected lease grants are void (they backed *this*
         // leadership).
-        self.fail_pending_reads(out);
-        self.lease.clear();
-        if term > self.current_term {
-            self.current_term = term;
-            self.voted_for = None;
-            self.persist_term_vote(out);
-            self.verified = self.commit_index;
+        self.core.fail_pending_reads(out);
+        self.core.lease.clear();
+        if term > self.core.current_term {
+            self.core.current_term = term;
+            self.core.voted_for = None;
+            self.core.persist_term_vote(out);
+            self.verified = self.core.commit_index;
         }
-        self.role = Role::Follower;
+        self.core.role = Role::Follower;
         if leader.is_some() {
-            self.leader_hint = leader;
+            self.core.leader_hint = leader;
         }
         self.election_votes.clear();
         self.recovery_votes.clear();
@@ -3307,20 +2610,12 @@ impl FastRaftEngine {
             self.reset_election_timer(out);
         }
         out.observe(Observation::BecameFollower {
-            term: self.current_term,
-        });
-    }
-
-    fn persist_term_vote(&self, out: &mut Actions<FastRaftMessage>) {
-        out.persist(PersistCmd::SetTermVote {
-            scope: self.scope,
-            term: self.current_term,
-            voted_for: self.voted_for,
+            term: self.core.current_term,
         });
     }
 
     fn start_election(&mut self, out: &mut Actions<FastRaftMessage>) {
-        if !self.config.contains(self.id) {
+        if !self.core.config.contains(self.core.id) {
             out.observe(Observation::MessageIgnored {
                 reason: "election by non-member suppressed",
             });
@@ -3335,33 +2630,33 @@ impl FastRaftEngine {
         // any authenticated leader contact.
         self.silent_elections += 1;
         if self.silent_elections >= 3 {
-            let peers: Vec<NodeId> = self.config.peers(self.id).collect();
-            out.send_many(peers, FastRaftMessage::JoinRequest { node: self.id });
+            let peers: Vec<NodeId> = self.core.config.peers(self.core.id).collect();
+            out.send_many(peers, FastRaftMessage::JoinRequest { node: self.core.id });
         }
-        self.role = Role::Candidate;
-        self.current_term = self.current_term.next();
-        self.voted_for = Some(self.id);
-        self.persist_term_vote(out);
+        self.core.role = Role::Candidate;
+        self.core.current_term = self.core.current_term.next();
+        self.core.voted_for = Some(self.core.id);
+        self.core.persist_term_vote(out);
         self.election_votes.clear();
-        self.election_votes.insert(self.id);
+        self.election_votes.insert(self.core.id);
         self.recovery_votes.clear();
         // Our own self-approved entries participate in recovery.
         self.recovery_votes
-            .push((self.id, self.log.self_approved()));
+            .push((self.core.id, self.core.log.self_approved()));
         out.observe(Observation::ElectionStarted {
-            term: self.current_term,
+            term: self.core.current_term,
         });
         // Advertise the dense leader-approved prefix, not `lastLeaderIndex`:
         // coverage is what acked matchIndexes certified, so it is what the
         // up-to-dateness comparison must protect (see `leader_coverage`).
         let coverage = self.leader_coverage();
         let msg = FastRaftMessage::RequestVote {
-            term: self.current_term,
-            candidate: self.id,
+            term: self.core.current_term,
+            candidate: self.core.id,
             last_leader_index: coverage,
-            last_leader_term: self.log.term_at(coverage),
+            last_leader_term: self.core.log.term_at(coverage),
         };
-        let peers: Vec<NodeId> = self.config.peers(self.id).collect();
+        let peers: Vec<NodeId> = self.core.config.peers(self.core.id).collect();
         out.send_many(peers, msg);
         self.reset_election_timer(out);
         self.maybe_win(out);
@@ -3377,54 +2672,23 @@ impl FastRaftEngine {
         cand_last_leader_term: Term,
         out: &mut Actions<FastRaftMessage>,
     ) {
-        if !self.config.contains(candidate) {
-            out.observe(Observation::MessageIgnored {
-                reason: "vote request from non-member",
-            });
+        // Non-members, lease holds and leaders with a live lease drop the
+        // request without adopting its term.
+        if self.core.refuses_vote_request(candidate, out) {
             return;
         }
-        // Lease hold: the ack this engine last sent carried a promise not
-        // to elect anyone but its leader before `until` on this clock. The
-        // request is dropped *without* adopting the candidate's term — a
-        // partitioned candidate's term inflation must not depose a leader
-        // whose lease a quorum still backs. The hold provably expires
-        // before this node's own election timer can fire
-        // (`Timing::validate` pins lease + skew ≤ election_min).
-        if self.vote_hold.blocks(candidate, self.local_now) {
-            out.observe(Observation::MessageIgnored {
-                reason: "vote request during lease hold",
-            });
-            return;
-        }
-        // A leader whose own lease is live refuses too, again without
-        // adopting the term: a quorum is promising not to elect anyone
-        // else, so the candidate provably cannot win — stepping down would
-        // only forfeit the lease's availability for nothing.
-        if self.role == Role::Leader
-            && self.lease.valid_at(
-                self.local_now,
-                &self.config,
-                self.id,
-                self.timing.max_clock_skew,
-            )
-        {
-            out.observe(Observation::MessageIgnored {
-                reason: "vote request at leader with live lease",
-            });
-            return;
-        }
-        if term < self.current_term {
+        if term < self.core.current_term {
             out.send(
                 from,
                 FastRaftMessage::RequestVoteReply {
-                    term: self.current_term,
+                    term: self.core.current_term,
                     granted: false,
                     self_approved: Vec::new(),
                 },
             );
             return;
         }
-        if term > self.current_term {
+        if term > self.core.current_term {
             self.become_follower(term, None, out);
         }
         // Up-to-dateness over leader-approved entries only (§IV-C), compared
@@ -3433,23 +2697,22 @@ impl FastRaftEngine {
         // order, and granting on that inflated index would hand leadership
         // to a candidate missing a committed entry (see `leader_coverage`).
         let my_coverage = self.leader_coverage();
-        let my_term = self.log.term_at(my_coverage);
-        let up_to_date =
-            (cand_last_leader_term, cand_last_leader_index) >= (my_term, my_coverage);
-        let can_vote = self.voted_for.is_none() || self.voted_for == Some(candidate);
+        let my_term = self.core.log.term_at(my_coverage);
+        let up_to_date = (cand_last_leader_term, cand_last_leader_index) >= (my_term, my_coverage);
+        let can_vote = self.core.voted_for.is_none() || self.core.voted_for == Some(candidate);
         let granted = up_to_date && can_vote;
         let self_approved = if granted {
-            self.voted_for = Some(candidate);
-            self.persist_term_vote(out);
+            self.core.voted_for = Some(candidate);
+            self.core.persist_term_vote(out);
             self.reset_election_timer(out);
-            self.log.self_approved()
+            self.core.log.self_approved()
         } else {
             Vec::new()
         };
         out.send(
             from,
             FastRaftMessage::RequestVoteReply {
-                term: self.current_term,
+                term: self.core.current_term,
                 granted,
                 self_approved,
             },
@@ -3465,31 +2728,31 @@ impl FastRaftEngine {
         gate: &mut dyn InsertGate,
         out: &mut Actions<FastRaftMessage>,
     ) {
-        if term > self.current_term {
+        if term > self.core.current_term {
             self.become_follower(term, None, out);
             return;
         }
-        if self.role != Role::Candidate || term < self.current_term || !granted {
+        if self.core.role != Role::Candidate || term < self.core.current_term || !granted {
             return;
         }
         self.election_votes.insert(from);
         self.recovery_votes.push((from, self_approved));
         self.maybe_win(out);
-        if self.role == Role::Leader {
+        if self.core.role == Role::Leader {
             // Run recovery + first decision pass immediately.
             self.run_decision_loop(gate, out);
         }
     }
 
     fn maybe_win(&mut self, out: &mut Actions<FastRaftMessage>) {
-        if self.role != Role::Candidate {
+        if self.core.role != Role::Candidate {
             return;
         }
-        let quorum = self.config.classic_quorum();
+        let quorum = self.core.config.classic_quorum();
         let valid = self
             .election_votes
             .iter()
-            .filter(|v| self.config.contains(**v))
+            .filter(|v| self.core.config.contains(**v))
             .count();
         if valid >= quorum {
             self.become_leader(out);
@@ -3505,9 +2768,9 @@ impl FastRaftEngine {
         // gap region is protected by §IV-B slot voting and commits never
         // cross it) but worth surfacing: the new leader serves the gap via
         // hole repair + quorum re-votes instead of its own entries.
-        if let Some((horizon, first_retained)) = self.log.front_gap() {
+        if let Some((horizon, first_retained)) = self.core.log.front_gap() {
             debug_assert_eq!(
-                self.scope,
+                self.core.scope,
                 LogScope::Global,
                 "front-gapped log outside the C-Raft global reconstruction path"
             );
@@ -3516,45 +2779,34 @@ impl FastRaftEngine {
                 first_retained,
             });
         }
-        self.role = Role::Leader;
+        self.core.role = Role::Leader;
         self.silent_elections = 0;
-        self.leader_hint = Some(self.id);
+        self.core.leader_hint = Some(self.core.id);
         out.observe(Observation::BecameLeader {
-            term: self.current_term,
+            term: self.core.current_term,
         });
-        // Arm the lease behind the new-leader barrier: any lease the
-        // deposed leader could still be serving under expires within
-        // `lease_duration + max_clock_skew` of this instant, so waiting
-        // that window out before serving lease reads makes the handover
-        // safe even against grants this node never saw. Inert while
-        // clockless or disabled.
-        self.lease.clear();
-        if !self.timing.lease_duration.is_zero() {
-            self.lease.enable_after(
-                self.local_now,
-                self.timing.lease_duration + self.timing.max_clock_skew,
-            );
-        }
+        self.core.arm_lease();
         // §IV-A: nextIndex initialized to last committed entry + 1.
-        let start = self.commit_index.next();
+        let start = self.core.commit_index.next();
         self.next_index.clear();
         self.match_index.clear();
         self.fast_match.clear();
         self.missed_beats.clear();
-        for peer in self.config.iter() {
+        for peer in self.core.config.iter() {
             self.next_index.insert(peer, start);
             self.match_index.insert(peer, LogIndex::ZERO);
         }
-        self.match_index.insert(self.id, self.last_leader_index);
+        self.match_index
+            .insert(self.core.id, self.last_leader_index);
         self.assign_cursor = self.last_leader_index;
-        self.last_proactive_repair = self.commit_index;
+        self.last_proactive_repair = self.core.commit_index;
         // Recovery (§IV-C): replay every voter's self-approved entries into
         // possibleEntries so chosen entries are re-chosen.
         let recovered: usize = self.recovery_votes.iter().map(|(_, v)| v.len()).sum();
         let votes = std::mem::take(&mut self.recovery_votes);
         for (voter, entries) in votes {
             for (idx, entry) in entries {
-                if idx > self.commit_index {
+                if idx > self.core.commit_index {
                     self.possible.record_vote(idx, entry, voter);
                 }
             }
@@ -3562,10 +2814,13 @@ impl FastRaftEngine {
         out.observe(Observation::RecoveryCompleted { entries: recovered });
         out.cancel_timer(self.timers.map(TimerKind::Election));
         self.dispatch_append_entries(out);
-        out.set_timer(self.timers.map(TimerKind::Heartbeat), self.timing.heartbeat);
+        out.set_timer(
+            self.timers.map(TimerKind::Heartbeat),
+            self.core.timing.heartbeat,
+        );
         out.set_timer(
             self.timers.map(TimerKind::LeaderTick),
-            self.timing.decision_tick,
+            self.core.timing.decision_tick,
         );
     }
 
@@ -3579,25 +2834,25 @@ impl FastRaftEngine {
         index: LogIndex,
         out: &mut Actions<FastRaftMessage>,
     ) {
-        let was_member = self.config.contains(self.id);
-        self.config = cfg;
-        self.config_index = index;
-        let is_member = self.config.contains(self.id);
+        let was_member = self.core.config.contains(self.core.id);
+        self.core.config = cfg;
+        self.core.config_index = index;
+        let is_member = self.core.config.contains(self.core.id);
         if is_member && !was_member && self.join_contacts.is_some() {
             // We are in the configuration now; membership finalizes when the
             // entry commits or a JoinReply arrives, but we can already vote.
             self.finish_joining(out);
         }
         if !is_member && was_member {
-            if self.role == Role::Leader {
+            if self.core.role == Role::Leader {
                 // A leader that removed itself steps down once the entry is
                 // inserted; remaining members elect a successor.
-                self.become_follower(self.current_term, None, out);
+                self.become_follower(self.core.current_term, None, out);
             }
             // Evicted (e.g. suspected of a silent leave while partitioned
             // or crashed): stop campaigning and rejoin explicitly (§IV-D).
-            self.role = Role::Follower;
-            self.join_contacts = Some(self.config.to_vec());
+            self.core.role = Role::Follower;
+            self.join_contacts = Some(self.core.config.to_vec());
             out.cancel_timer(self.timers.map(TimerKind::Election));
             self.send_join_request(out);
         }
@@ -3617,23 +2872,23 @@ impl FastRaftEngine {
         out: &mut Actions<FastRaftMessage>,
     ) {
         let _ = from;
-        if self.role != Role::Leader {
+        if self.core.role != Role::Leader {
             // §IV-D: redirect to the leader.
             out.send(
                 node,
                 FastRaftMessage::JoinReply {
                     accepted: false,
-                    leader_hint: self.leader_hint,
+                    leader_hint: self.core.leader_hint,
                 },
             );
             return;
         }
-        if self.config.contains(node) {
+        if self.core.config.contains(node) {
             out.send(
                 node,
                 FastRaftMessage::JoinReply {
                     accepted: true,
-                    leader_hint: Some(self.id),
+                    leader_hint: Some(self.core.id),
                 },
             );
             return;
@@ -3659,20 +2914,20 @@ impl FastRaftEngine {
             .get(&node)
             .copied()
             .unwrap_or(LogIndex::ZERO)
-            >= self.commit_index;
+            >= self.core.commit_index;
         if caught_up {
             self.enqueue_reconfig(ReconfigOp::Add(node), out);
         }
     }
 
     fn on_leave_request(&mut self, node: NodeId, out: &mut Actions<FastRaftMessage>) {
-        if self.role != Role::Leader {
-            if let Some(leader) = self.leader_hint {
+        if self.core.role != Role::Leader {
+            if let Some(leader) = self.core.leader_hint {
                 out.send(leader, FastRaftMessage::LeaveRequest { node });
             }
             return;
         }
-        if node == self.id {
+        if node == self.core.id {
             // Leader leaves: not supported in-place; callers should demote
             // first. Ignored defensively.
             out.observe(Observation::MessageIgnored {
@@ -3680,7 +2935,7 @@ impl FastRaftEngine {
             });
             return;
         }
-        if self.config.contains(node) {
+        if self.core.config.contains(node) {
             self.enqueue_reconfig(ReconfigOp::Remove(node), out);
         }
     }
@@ -3693,7 +2948,7 @@ impl FastRaftEngine {
     }
 
     fn start_next_reconfig(&mut self, out: &mut Actions<FastRaftMessage>) {
-        if self.pending_config.is_some() || self.role != Role::Leader {
+        if self.pending_config.is_some() || self.core.role != Role::Leader {
             return;
         }
         if !self.leader_log_settled() {
@@ -3705,20 +2960,21 @@ impl FastRaftEngine {
         while let Some(op) = self.reconfig_queue.pop_front() {
             let (new_config, notify) = match op {
                 ReconfigOp::Add(n) => {
-                    if self.config.contains(n) {
+                    if self.core.config.contains(n) {
                         continue;
                     }
-                    (self.config.with_member(n), Some(n))
+                    (self.core.config.with_member(n), Some(n))
                 }
                 ReconfigOp::Remove(n) => {
-                    if !self.config.contains(n) || n == self.id {
+                    if !self.core.config.contains(n) || n == self.core.id {
                         continue;
                     }
-                    (self.config.without_member(n), None)
+                    (self.core.config.without_member(n), None)
                 }
             };
             let k = self.last_leader_index.next();
-            let entry = LogEntry::config(self.current_term, self.fresh_id(out), new_config);
+            let entry =
+                LogEntry::config(self.core.current_term, self.core.fresh_id(out), new_config);
             self.insert_leader_entry(k, entry, out);
             self.pending_config = Some(k);
             self.pending_join_notify = notify;

@@ -1,6 +1,7 @@
 //! Fast Raft and C-Raft message vocabulary (§IV, §V).
 
 use des::SimTime;
+use raft::ReplicaMessage;
 use wire::{
     ClientOutcome, DecodeError, Decoder, Encoder, EntryId, EntryList, LogEntry, LogIndex, Message,
     NodeId, SessionId, Snapshot, Term, Wire,
@@ -191,6 +192,20 @@ impl FastRaftMessage {
                 | FastRaftMessage::JoinReply { .. }
                 | FastRaftMessage::LeaveRequest { .. }
         )
+    }
+}
+
+impl ReplicaMessage for FastRaftMessage {
+    fn client_reply(session: SessionId, seq: u64, outcome: ClientOutcome) -> Self {
+        FastRaftMessage::ClientReply {
+            session,
+            seq,
+            outcome,
+        }
+    }
+
+    fn install_snapshot_reply(term: Term, last_index: LogIndex) -> Self {
+        FastRaftMessage::InstallSnapshotReply { term, last_index }
     }
 }
 

@@ -540,11 +540,7 @@ impl<P: ConsensusProtocol> Runner<P> {
         }
 
         let mut responses: Vec<(SessionId, u64, ClientOutcome)> = Vec::new();
-        let trace = harness_trace_enabled();
         for obs in out.observations {
-            if trace {
-                eprintln!("[{:.3}s] {} {:?}", self.sim.now().as_secs_f64(), from, obs);
-            }
             match obs {
                 Observation::ClientResponse {
                     session,
@@ -814,12 +810,6 @@ impl<P: ConsensusProtocol> Runner<P> {
             }
         }
     }
-}
-
-/// Cached `HARNESS_TRACE` env check: per-observation tracing to stderr.
-fn harness_trace_enabled() -> bool {
-    static FLAG: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *FLAG.get_or_init(|| std::env::var_os("HARNESS_TRACE").is_some())
 }
 
 /// Infallible byte filling for [`SimRng`] (extension helper).

@@ -9,6 +9,11 @@
 //! runs it over the simulated network, and [`testkit::Lockstep`] drives it
 //! synchronously in tests.
 //!
+//! [`ReplicaCore`] holds what classic Raft and Fast Raft
+//! (`consensus_core::FastRaftEngine`) share: terms, the log and snapshots,
+//! client sessions, linearizable reads and leases. Each protocol embeds one
+//! and keeps only its own replication, election and membership rules.
+//!
 //! ## Timing model
 //!
 //! Matching the paper's evaluation: AppendEntries dispatch is gated on the
@@ -38,9 +43,11 @@
 
 mod message;
 mod node;
+mod replica;
 pub mod testkit;
 mod timing;
 
 pub use message::RaftMessage;
-pub use node::{NotLeader, RaftNode, Role};
+pub use node::{NotLeader, RaftNode};
+pub use replica::{ReplicaCore, ReplicaMessage, Role};
 pub use timing::Timing;

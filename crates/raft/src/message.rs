@@ -8,6 +8,8 @@ use wire::{
     SessionId, Snapshot, Term, Wire,
 };
 
+use crate::ReplicaMessage;
+
 /// Messages exchanged by classic Raft sites.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum RaftMessage {
@@ -151,6 +153,20 @@ impl RaftMessage {
             | RaftMessage::ClientRead { .. }
             | RaftMessage::ClientReply { .. } => None,
         }
+    }
+}
+
+impl ReplicaMessage for RaftMessage {
+    fn client_reply(session: SessionId, seq: u64, outcome: ClientOutcome) -> Self {
+        RaftMessage::ClientReply {
+            session,
+            seq,
+            outcome,
+        }
+    }
+
+    fn install_snapshot_reply(term: Term, last_index: LogIndex) -> Self {
+        RaftMessage::InstallSnapshotReply { term, last_index }
     }
 }
 

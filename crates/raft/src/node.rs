@@ -2,7 +2,9 @@
 //!
 //! Implements leader election, log replication, commitment, proposer
 //! redirection/retry, and administrator-driven membership change — the
-//! baseline the paper compares Fast Raft and C-Raft against.
+//! baseline the paper compares Fast Raft and C-Raft against. Sessions,
+//! reads, leases, compaction and snapshot install live in the
+//! [`ReplicaCore`] the node embeds, shared with Fast Raft.
 //!
 //! ## Event timing (matches the paper's evaluation setup)
 //!
@@ -17,36 +19,20 @@
 //! roughly one heartbeat period — the ~100 ms classic-Raft baseline of
 //! Fig. 3.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 use bytes::Bytes;
 use des::{SimRng, SimTime};
 use storage::StableState;
 use wire::{
-    fold_commit_digest, fold_session_digest, session_state_current, Actions, ClientOp,
-    ClientOutcome, ClientRequest,
-    Configuration, Consistency, ConsensusProtocol, EntryId, EntryList, LeaseState, LogEntry,
-    LogIndex, LogScope, NodeId, Observation, Payload, PersistCmd, ReadIndexQueue, SessionApply,
-    SessionId, SessionTable, Snapshot, SparseLog, Term, TimerKind, VoteHold, MAX_INSERT_WINDOW,
+    fold_commit_digest, Actions, ClientOp, ClientOutcome, ClientRequest, Configuration,
+    ConsensusProtocol, Consistency, EntryId, EntryList, LogEntry, LogIndex, LogScope, NodeId,
+    Observation, PersistCmd, SessionId, SessionTable, Snapshot, SparseLog, Term, TimerKind,
+    MAX_INSERT_WINDOW,
 };
 
+use crate::replica::{ReplicaCore, Role};
 use crate::{RaftMessage, Timing};
-
-/// Proposal-sequence numbers are reserved in stable storage in blocks of
-/// this size (one write-ahead command per block, not per proposal). A crash
-/// discards at most one partial block of unused ids.
-const SEQ_RESERVE_BLOCK: u64 = 64;
-
-/// The role a site currently plays (§III-A).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Role {
-    /// Passive replica; votes in elections.
-    Follower,
-    /// Election in progress, requesting votes.
-    Candidate,
-    /// The unique coordinator of the current term.
-    Leader,
-}
 
 /// Error returned by leader-only administrative operations.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -62,19 +48,6 @@ impl std::fmt::Display for NotLeader {
 }
 
 impl std::error::Error for NotLeader {}
-
-/// A linearizable read already admitted at a commit floor the state machine
-/// has not caught up to yet (pipelined apply only): the floor is safe — it
-/// was captured under lease or ReadIndex confirmation — but answering before
-/// the apply queue reaches it would let the client observe state older than
-/// its admission point.
-#[derive(Clone, Debug)]
-struct PendingReadAnswer {
-    reply_to: NodeId,
-    session: SessionId,
-    seq: u64,
-    floor: LogIndex,
-}
 
 /// A session-tagged client write traveling through the gateway's retry
 /// machinery until its commit is observed.
@@ -92,37 +65,10 @@ struct PendingWrite {
 /// A classic Raft site.
 #[derive(Debug)]
 pub struct RaftNode {
-    id: NodeId,
-    timing: Timing,
+    /// Terms, log, sessions, reads, leases and snapshots (shared with Fast
+    /// Raft); the fields below are classic Raft's own.
+    core: ReplicaCore<RaftMessage, PendingWrite>,
     rng: SimRng,
-
-    // ---- persistent state (mirrored to stable storage via PersistCmd) ----
-    current_term: Term,
-    voted_for: Option<NodeId>,
-    log: SparseLog,
-    /// Latest snapshot covering the compacted log prefix, served to
-    /// followers whose `nextIndex` fell below `log.first_index()`.
-    snapshot: Option<Snapshot>,
-
-    // ---- volatile state ----
-    commit_index: LogIndex,
-    /// Highest index applied to the state machine. Trails `commit_index`
-    /// only under [`Timing::pipelined_apply`], between a commit advancement
-    /// and the embedding's drain stage; equal to it at every step boundary
-    /// otherwise.
-    applied_index: LogIndex,
-    /// Linearizable reads admitted at a floor above `applied_index`,
-    /// answered when the apply queue catches up (pipelined apply only).
-    reads_awaiting_apply: Vec<PendingReadAnswer>,
-    /// Running digest of the committed sequence (the simulated state
-    /// machine); captured into snapshots as the state image.
-    state_digest: u64,
-    role: Role,
-    leader_hint: Option<NodeId>,
-    /// Last configuration *inserted* into the log (§III-A).
-    config: Configuration,
-    /// Index of that configuration entry (ZERO for the bootstrap config).
-    config_index: LogIndex,
     /// Votes received while candidate.
     votes: BTreeSet<NodeId>,
 
@@ -131,46 +77,6 @@ pub struct RaftNode {
     match_index: BTreeMap<NodeId, LogIndex>,
     /// Catch-up (non-voting) members being prepared to join.
     learners: BTreeSet<NodeId>,
-
-    // ---- applied client state (deterministic across replicas) ----
-    /// Per-session exactly-once dedup table; updated while applying
-    /// committed `Payload::Write` entries and carried inside snapshots.
-    sessions: SessionTable,
-
-    // ---- gateway (client-facing) state ----
-    next_seq: u64,
-    /// One past the highest sequence number covered by a persisted
-    /// [`PersistCmd::ReserveProposalSeqs`]; `next_seq` never reaches it
-    /// without first extending the reservation, so recovery restarts the
-    /// counter above every id this site may ever have sent.
-    reserved_seqs: u64,
-    /// In-flight session writes submitted at this node, by proposal id.
-    pending: BTreeMap<EntryId, PendingWrite>,
-    /// `(session, seq)` → proposal id for in-flight writes (client retry
-    /// idempotence at the gateway).
-    client_writes: HashMap<(SessionId, u64), EntryId>,
-    /// In-flight linearizable reads submitted at this node.
-    client_reads: BTreeSet<(SessionId, u64)>,
-
-    // ---- leader read path (ReadIndex; shared machinery in wire::read) ----
-    reads: ReadIndexQueue,
-
-    // ---- leader lease (quorum-free reads; shared machinery in wire::lease) ----
-    /// This node's local clock, stamped by the embedding before each event
-    /// via [`ConsensusProtocol::set_local_clock`]. Stays [`SimTime::ZERO`]
-    /// (clockless) in purely event-driven embeddings, which keeps every
-    /// lease path inert.
-    local_now: SimTime,
-    /// Leader-side grant collection (valid ⇒ linearizable reads served
-    /// locally with zero messages).
-    lease: LeaseState,
-    /// Follower-side half of the promise: refuse rival candidates while a
-    /// grant this node emitted is still live on its own clock.
-    vote_hold: VoteHold,
-
-    // ---- leader bookkeeping ----
-    /// Where each known proposal id sits in our log (dedup + notification).
-    id_index: HashMap<EntryId, LogIndex>,
 }
 
 impl RaftNode {
@@ -189,36 +95,12 @@ impl RaftNode {
             "node {id} not in bootstrap configuration"
         );
         RaftNode {
-            id,
-            timing,
+            core: ReplicaCore::new(id, LogScope::Global, bootstrap, timing),
             rng,
-            current_term: Term::ZERO,
-            voted_for: None,
-            log: SparseLog::new(),
-            snapshot: None,
-            commit_index: LogIndex::ZERO,
-            applied_index: LogIndex::ZERO,
-            reads_awaiting_apply: Vec::new(),
-            state_digest: 0,
-            role: Role::Follower,
-            leader_hint: None,
-            config: bootstrap,
-            config_index: LogIndex::ZERO,
             votes: BTreeSet::new(),
             next_index: BTreeMap::new(),
             match_index: BTreeMap::new(),
             learners: BTreeSet::new(),
-            sessions: SessionTable::new(),
-            next_seq: 0,
-            reserved_seqs: 0,
-            pending: BTreeMap::new(),
-            client_writes: HashMap::new(),
-            client_reads: BTreeSet::new(),
-            reads: ReadIndexQueue::new(),
-            local_now: SimTime::ZERO,
-            lease: LeaseState::new(),
-            vote_hold: VoteHold::new(),
-            id_index: HashMap::new(),
         }
     }
 
@@ -233,94 +115,73 @@ impl RaftNode {
         rng: SimRng,
     ) -> Self {
         let mut node = RaftNode::new(id, bootstrap, timing, rng);
-        node.current_term = stable.global.current_term;
-        node.voted_for = stable.global.voted_for;
-        node.log = stable.global.log.clone();
-        // Snapshot-aware recovery: the snapshot's prefix is known committed
-        // and already applied, so the commit index resumes at the compaction
-        // horizon instead of replaying (now unavailable) history.
-        node.snapshot = stable.global.snapshot.clone();
-        node.commit_index = node.log.compacted_through();
-        node.applied_index = node.commit_index;
-        if let Some(snap) = &node.snapshot {
-            node.config = snap.config.clone();
-            node.config_index = snap.last_index;
-            node.sessions = snap.sessions.clone();
-            if let Some(digest) = snap.state_digest() {
-                node.state_digest = digest;
-            }
-        }
-        if let Some((idx, cfg)) = node.log.latest_config() {
-            node.config = cfg.clone();
-            node.config_index = idx;
-        }
-        for (idx, entry) in node.log.iter() {
-            node.id_index.insert(entry.id, idx);
-        }
-        // Resume the proposal counter above every persisted reservation:
-        // re-minting a pre-crash id would hit the peers' id-dedup and
-        // silently answer the *old* entry's commit for the new proposal.
-        node.next_seq = stable.global.proposal_seq_floor;
-        node.reserved_seqs = stable.global.proposal_seq_floor;
+        let stable = &stable.global;
+        node.core.restore(
+            stable.current_term,
+            stable.voted_for,
+            stable.log.clone(),
+            stable.snapshot.clone(),
+            stable.proposal_seq_floor,
+        );
         node
     }
 
     /// This node's current role.
     pub fn role(&self) -> Role {
-        self.role
+        self.core.role
     }
 
     /// The current term.
     pub fn current_term(&self) -> Term {
-        self.current_term
+        self.core.current_term
     }
 
     /// The highest committed index.
     pub fn commit_index(&self) -> LogIndex {
-        self.commit_index
+        self.core.commit_index
     }
 
     /// The highest index applied to the state machine. Equal to
     /// [`RaftNode::commit_index`] except transiently under
     /// [`Timing::pipelined_apply`], between commit and the drain stage.
     pub fn applied_index(&self) -> LogIndex {
-        self.applied_index
+        self.core.applied_index
     }
 
     /// The replicated log (read-only).
     pub fn log(&self) -> &SparseLog {
-        &self.log
+        &self.core.log
     }
 
     /// The latest snapshot covering the compacted prefix, if any.
     pub fn snapshot(&self) -> Option<&Snapshot> {
-        self.snapshot.as_ref()
+        self.core.snapshot.as_ref()
     }
 
     /// Running digest of the committed sequence (the simulated state
     /// machine's state).
     pub fn state_digest(&self) -> u64 {
-        self.state_digest
+        self.core.state_digest
     }
 
     /// The configuration this node currently obeys.
     pub fn config(&self) -> &Configuration {
-        &self.config
+        &self.core.config
     }
 
     /// The node this site believes is leader.
     pub fn leader_hint(&self) -> Option<NodeId> {
-        self.leader_hint
+        self.core.leader_hint
     }
 
     /// Number of proposals issued here and not yet known committed.
     pub fn pending_proposals(&self) -> usize {
-        self.pending.len()
+        self.core.proposals.len()
     }
 
     /// The per-session exactly-once dedup table (applied state).
     pub fn sessions(&self) -> &SessionTable {
-        &self.sessions
+        &self.core.sessions
     }
 
     // ------------------------------------------------------------------
@@ -334,13 +195,13 @@ impl RaftNode {
     ///
     /// Returns [`NotLeader`] when called on a non-leader.
     pub fn admin_add_learner(&mut self, node: NodeId) -> Result<(), NotLeader> {
-        if self.role != Role::Leader {
+        if self.core.role != Role::Leader {
             return Err(NotLeader {
-                leader_hint: self.leader_hint,
+                leader_hint: self.core.leader_hint,
             });
         }
         self.learners.insert(node);
-        self.next_index.insert(node, self.commit_index.next());
+        self.next_index.insert(node, self.core.commit_index.next());
         self.match_index.insert(node, LogIndex::ZERO);
         Ok(())
     }
@@ -362,17 +223,17 @@ impl RaftNode {
         new_config: Configuration,
         out: &mut Actions<RaftMessage>,
     ) -> Result<EntryId, NotLeader> {
-        if self.role != Role::Leader {
+        if self.core.role != Role::Leader {
             return Err(NotLeader {
-                leader_hint: self.leader_hint,
+                leader_hint: self.core.leader_hint,
             });
         }
         assert!(
-            self.config.diff_is_single_change(&new_config),
+            self.core.config.diff_is_single_change(&new_config),
             "configuration change must add or remove at most one site"
         );
-        let id = self.fresh_id(out);
-        let entry = LogEntry::config(self.current_term, id, new_config);
+        let id = self.core.fresh_id(out);
+        let entry = LogEntry::config(self.core.current_term, id, new_config);
         self.leader_append(entry, out);
         Ok(id)
     }
@@ -381,40 +242,14 @@ impl RaftNode {
     // Internals
     // ------------------------------------------------------------------
 
-    /// Mints a proposal id, extending the persisted sequence reservation
-    /// when the current block runs out. The reservation is write-ahead —
-    /// durable before any message carrying the id leaves this site — so a
-    /// recovered node (see [`RaftNode::recover`]) never re-mints an id a
-    /// peer might still hold in its dedup index.
-    fn fresh_id(&mut self, out: &mut Actions<RaftMessage>) -> EntryId {
-        if self.next_seq >= self.reserved_seqs {
-            self.reserved_seqs = self.next_seq + SEQ_RESERVE_BLOCK;
-            out.persist(PersistCmd::ReserveProposalSeqs {
-                scope: LogScope::Global,
-                through: self.reserved_seqs,
-            });
-        }
-        let id = EntryId::new(self.id, self.next_seq);
-        self.next_seq += 1;
-        id
-    }
-
-    fn persist_term_vote(&self, out: &mut Actions<RaftMessage>) {
-        out.persist(PersistCmd::SetTermVote {
-            scope: LogScope::Global,
-            term: self.current_term,
-            voted_for: self.voted_for,
-        });
-    }
-
     fn insert_entry(&mut self, index: LogIndex, entry: LogEntry, out: &mut Actions<RaftMessage>) {
-        self.id_index.insert(entry.id, index);
+        self.core.id_index.insert(entry.id, index);
         if let Some(cfg) = entry.as_config() {
             // "Each site considers the last appended configuration entry to
             // be its current configuration."
-            if index >= self.config_index {
-                self.config = cfg.clone();
-                self.config_index = index;
+            if index >= self.core.config_index {
+                self.core.config = cfg.clone();
+                self.core.config_index = index;
             }
         }
         out.persist(PersistCmd::Insert {
@@ -422,37 +257,38 @@ impl RaftNode {
             index,
             entry: entry.clone(),
         });
-        self.log.insert(index, entry);
+        self.core.log.insert(index, entry);
     }
 
     fn truncate_from(&mut self, from: LogIndex, out: &mut Actions<RaftMessage>) {
         let removed: Vec<(LogIndex, EntryId)> = self
+            .core
             .log
-            .range(from, self.log.last_index())
+            .range(from, self.core.log.last_index())
             .map(|(i, e)| (i, e.id))
             .collect();
         for (_, id) in &removed {
-            self.id_index.remove(id);
+            self.core.id_index.remove(id);
         }
-        self.log.truncate_from(from);
+        self.core.log.truncate_from(from);
         out.persist(PersistCmd::Truncate {
             scope: LogScope::Global,
             from,
         });
         // A truncated config entry reverts the configuration to the latest
         // surviving one.
-        if self.config_index >= from {
-            if let Some((idx, cfg)) = self.log.latest_config() {
-                self.config = cfg.clone();
-                self.config_index = idx;
+        if self.core.config_index >= from {
+            if let Some((idx, cfg)) = self.core.log.latest_config() {
+                self.core.config = cfg.clone();
+                self.core.config_index = idx;
             }
         }
     }
 
     fn leader_append(&mut self, entry: LogEntry, out: &mut Actions<RaftMessage>) -> LogIndex {
-        let index = self.log.last_index().next();
+        let index = self.core.log.last_index().next();
         self.insert_entry(index, entry, out);
-        self.match_index.insert(self.id, index);
+        self.match_index.insert(self.core.id, index);
         // A single-node configuration reaches quorum on its own ack.
         self.advance_commit(out);
         index
@@ -464,21 +300,21 @@ impl RaftNode {
         leader: Option<NodeId>,
         out: &mut Actions<RaftMessage>,
     ) {
-        let was_leader = self.role == Role::Leader;
+        let was_leader = self.core.role == Role::Leader;
         // Leadership (or the term it was confirmed under) is gone: any read
         // still awaiting its ReadIndex confirmation must not be answered,
         // and collected lease grants are void (they promised a quorum for
         // *this* leadership).
-        self.fail_pending_reads(out);
-        self.lease.clear();
-        if term > self.current_term {
-            self.current_term = term;
-            self.voted_for = None;
-            self.persist_term_vote(out);
+        self.core.fail_pending_reads(out);
+        self.core.lease.clear();
+        if term > self.core.current_term {
+            self.core.current_term = term;
+            self.core.voted_for = None;
+            self.core.persist_term_vote(out);
         }
-        self.role = Role::Follower;
+        self.core.role = Role::Follower;
         if leader.is_some() {
-            self.leader_hint = leader;
+            self.core.leader_hint = leader;
         }
         self.votes.clear();
         if was_leader {
@@ -486,17 +322,17 @@ impl RaftNode {
         }
         self.reset_election_timer(out);
         out.observe(Observation::BecameFollower {
-            term: self.current_term,
+            term: self.core.current_term,
         });
     }
 
     fn reset_election_timer(&mut self, out: &mut Actions<RaftMessage>) {
-        let timeout = self.timing.election_timeout(&mut self.rng);
+        let timeout = self.core.timing.election_timeout(&mut self.rng);
         out.set_timer(TimerKind::Election, timeout);
     }
 
     fn start_election(&mut self, out: &mut Actions<RaftMessage>) {
-        if !self.config.contains(self.id) {
+        if !self.core.config.contains(self.core.id) {
             // A removed site must not start elections.
             out.observe(Observation::MessageIgnored {
                 reason: "election by non-member suppressed",
@@ -504,37 +340,37 @@ impl RaftNode {
             self.reset_election_timer(out);
             return;
         }
-        self.role = Role::Candidate;
-        self.current_term = self.current_term.next();
-        self.voted_for = Some(self.id);
-        self.persist_term_vote(out);
+        self.core.role = Role::Candidate;
+        self.core.current_term = self.core.current_term.next();
+        self.core.voted_for = Some(self.core.id);
+        self.core.persist_term_vote(out);
         self.votes.clear();
-        self.votes.insert(self.id);
+        self.votes.insert(self.core.id);
         out.observe(Observation::ElectionStarted {
-            term: self.current_term,
+            term: self.core.current_term,
         });
-        let last = self.log.last_index();
+        let last = self.core.log.last_index();
         let msg = RaftMessage::RequestVote {
-            term: self.current_term,
-            candidate: self.id,
+            term: self.core.current_term,
+            candidate: self.core.id,
             last_log_index: last,
-            last_log_term: self.log.term_at(last),
+            last_log_term: self.core.log.term_at(last),
         };
-        let peers: Vec<NodeId> = self.config.peers(self.id).collect();
+        let peers: Vec<NodeId> = self.core.config.peers(self.core.id).collect();
         out.send_many(peers, msg);
         self.reset_election_timer(out);
         self.maybe_win(out);
     }
 
     fn maybe_win(&mut self, out: &mut Actions<RaftMessage>) {
-        if self.role != Role::Candidate {
+        if self.core.role != Role::Candidate {
             return;
         }
-        let quorum = self.config.classic_quorum();
+        let quorum = self.core.config.classic_quorum();
         let valid_votes = self
             .votes
             .iter()
-            .filter(|v| self.config.contains(**v))
+            .filter(|v| self.core.config.contains(**v))
             .count();
         if valid_votes >= quorum {
             self.become_leader(out);
@@ -542,59 +378,48 @@ impl RaftNode {
     }
 
     fn become_leader(&mut self, out: &mut Actions<RaftMessage>) {
-        self.role = Role::Leader;
-        self.leader_hint = Some(self.id);
+        self.core.role = Role::Leader;
+        self.core.leader_hint = Some(self.core.id);
         out.observe(Observation::BecameLeader {
-            term: self.current_term,
+            term: self.core.current_term,
         });
-        // Arm the lease behind the new-leader barrier: a lease the deposed
-        // leader could still be serving under expires within
-        // `lease_duration + max_clock_skew` of this instant (its newest
-        // grant predates this election win), so waiting that window out
-        // before serving lease reads makes the handover safe even against
-        // grants this node never saw. Inert while clockless or disabled.
-        self.lease.clear();
-        if !self.timing.lease_duration.is_zero() {
-            self.lease.enable_after(
-                self.local_now,
-                self.timing.lease_duration + self.timing.max_clock_skew,
-            );
-        }
-        let start = self.log.last_index().next();
+        self.core.arm_lease();
+        let start = self.core.log.last_index().next();
         self.next_index.clear();
         self.match_index.clear();
-        for peer in self.config.iter().chain(self.learners.iter().copied()) {
+        for peer in self.core.config.iter().chain(self.learners.iter().copied()) {
             self.next_index.insert(peer, start);
             self.match_index.insert(peer, LogIndex::ZERO);
         }
         // Standard practice (Raft dissertation §6.4): commit a no-op of the
         // new term so earlier-term entries become committable.
-        let id = self.fresh_id(out);
-        let noop = LogEntry::noop(self.current_term, id);
+        let id = self.core.fresh_id(out);
+        let noop = LogEntry::noop(self.core.current_term, id);
         self.leader_append(noop, out);
         out.cancel_timer(TimerKind::Election);
         // Initial heartbeat immediately; steady-state dispatch stays
         // heartbeat-gated.
         self.dispatch_append_entries(out);
-        out.set_timer(TimerKind::Heartbeat, self.timing.heartbeat);
+        out.set_timer(TimerKind::Heartbeat, self.core.timing.heartbeat);
     }
 
     fn dispatch_append_entries(&mut self, out: &mut Actions<RaftMessage>) {
-        let last = self.log.last_index();
-        let budget = self.timing.append_budget();
+        let last = self.core.log.last_index();
+        let budget = self.core.timing.append_budget();
         // Group followers by nextIndex: one budgeted batch is assembled per
         // distinct resume point and the Arc-shared EntryList handle is
         // cloned per recipient, so the fan-out shares a single allocation.
         let mut groups: BTreeMap<LogIndex, Vec<NodeId>> = BTreeMap::new();
         for peer in self
+            .core
             .config
-            .peers(self.id)
-            .chain(self.learners.iter().copied().filter(|l| *l != self.id))
+            .peers(self.core.id)
+            .chain(self.learners.iter().copied().filter(|l| *l != self.core.id))
         {
             let next = *self
                 .next_index
                 .get(&peer)
-                .unwrap_or(&self.commit_index.next());
+                .unwrap_or(&self.core.commit_index.next());
             groups.entry(next).or_default().push(peer);
         }
         for (next, peers) in groups {
@@ -602,14 +427,14 @@ impl RaftNode {
             // index cannot be served from the log anymore: transfer the
             // compacted prefix as a snapshot instead (its ack moves
             // nextIndex above the horizon and replication resumes normally).
-            if next < self.log.first_index() {
-                if let Some(snapshot) = self.current_snapshot() {
+            if next < self.core.log.first_index() {
+                if let Some(snapshot) = self.core.current_snapshot() {
                     for peer in peers {
                         out.send(
                             peer,
                             RaftMessage::InstallSnapshot {
-                                term: self.current_term,
-                                leader: self.id,
+                                term: self.core.current_term,
+                                leader: self.core.id,
                                 snapshot: snapshot.clone(),
                             },
                         );
@@ -618,9 +443,9 @@ impl RaftNode {
                 continue;
             }
             let prev_index = next.prev_saturating();
-            let prev_term = self.log.term_at(prev_index);
+            let prev_term = self.core.log.term_at(prev_index);
             let entries = if last >= next {
-                self.log.collect_range_budgeted(next, last, budget)
+                self.core.log.collect_range_budgeted(next, last, budget)
             } else {
                 EntryList::empty()
             };
@@ -628,51 +453,31 @@ impl RaftNode {
                 out.send(
                     peer,
                     RaftMessage::AppendEntries {
-                        term: self.current_term,
-                        leader: self.id,
+                        term: self.core.current_term,
+                        leader: self.core.id,
                         prev_index,
                         prev_term,
                         entries: entries.clone(),
-                        leader_commit: self.commit_index,
-                        probe: self.reads.probe(),
+                        leader_commit: self.core.commit_index,
+                        probe: self.core.reads.probe(),
                     },
                 );
             }
         }
     }
 
-    /// The snapshot to serve laggards: the cached one (always current —
-    /// compaction refreshes it), synthesized from the log's horizon if a
-    /// recovery somehow lost it.
-    fn current_snapshot(&self) -> Option<Snapshot> {
-        let horizon = self.log.compacted_through();
-        if horizon.is_zero() {
-            return None;
-        }
-        match &self.snapshot {
-            Some(s) if s.last_index == horizon => Some(s.clone()),
-            _ => Some(Snapshot {
-                scope: LogScope::Global,
-                last_index: horizon,
-                last_term: self.log.compacted_term(),
-                config: self.config_for_snapshot(horizon),
-                state: Snapshot::digest_state(self.state_digest),
-                sessions: self.sessions.clone(),
-            }),
-        }
-    }
-
     /// Leader-side commit rule: the highest `k` with a classic quorum of
     /// `matchIndex ≥ k` and `log[k].term == currentTerm` becomes committed.
     fn advance_commit(&mut self, out: &mut Actions<RaftMessage>) {
-        if self.role != Role::Leader {
+        if self.core.role != Role::Leader {
             return;
         }
-        let quorum = self.config.classic_quorum();
-        let mut k = self.log.last_index();
-        while k > self.commit_index {
-            if self.log.term_at(k) == self.current_term {
+        let quorum = self.core.config.classic_quorum();
+        let mut k = self.core.log.last_index();
+        while k > self.core.commit_index {
+            if self.core.log.term_at(k) == self.core.current_term {
                 let acks = self
+                    .core
                     .config
                     .iter()
                     .filter(|m| self.match_index.get(m).copied().unwrap_or(LogIndex::ZERO) >= k)
@@ -683,7 +488,7 @@ impl RaftNode {
             }
             k = k.prev();
         }
-        if k > self.commit_index {
+        if k > self.core.commit_index {
             self.set_commit_index(k, out);
         }
     }
@@ -694,11 +499,11 @@ impl RaftNode {
     /// the embedding drains it as a separate stage, so the leader can
     /// assemble the next AppendEntries while this range applies.
     fn set_commit_index(&mut self, new_commit: LogIndex, out: &mut Actions<RaftMessage>) {
-        if new_commit <= self.commit_index {
+        if new_commit <= self.core.commit_index {
             return;
         }
-        self.commit_index = new_commit;
-        if !self.timing.pipelined_apply {
+        self.core.commit_index = new_commit;
+        if !self.core.timing.pipelined_apply {
             self.apply_to_commit(out);
         }
     }
@@ -708,294 +513,27 @@ impl RaftNode {
     /// apply, proposer/gateway notifications, commit records, compaction,
     /// and the release of reads whose floor the state machine just reached.
     fn apply_to_commit(&mut self, out: &mut Actions<RaftMessage>) {
-        while self.applied_index < self.commit_index {
-            let k = self.applied_index.next();
-            if let Some(entry) = self.log.get(k).cloned() {
-                self.state_digest = fold_commit_digest(self.state_digest, k, entry.id);
+        while self.core.applied_index < self.core.commit_index {
+            let k = self.core.applied_index.next();
+            if let Some(entry) = self.core.log.get(k).cloned() {
+                self.core.state_digest = fold_commit_digest(self.core.state_digest, k, entry.id);
                 if entry.payload.is_config() {
                     out.observe(Observation::ConfigCommitted {
                         members: entry.as_config().map(Configuration::len).unwrap_or(0),
                     });
                 }
-                self.apply_committed_entry(k, &entry, out);
-                self.evict_idle_sessions(k, out);
+                if !self.core.apply_client_write(k, &entry, out)
+                    && entry.id.proposer == self.core.id
+                {
+                    self.core.proposals.remove(&entry.id);
+                }
+                self.core.evict_idle_sessions(k, out);
                 out.commit(LogScope::Global, k, entry);
             }
-            self.applied_index = k;
+            self.core.applied_index = k;
         }
-        self.maybe_compact(out);
-        self.release_applied_reads(out);
-    }
-
-    /// Answers queued linearizable reads whose admission floor the applied
-    /// state now covers (pipelined apply only; a no-op inline, where reads
-    /// are never queued).
-    fn release_applied_reads(&mut self, out: &mut Actions<RaftMessage>) {
-        if self.reads_awaiting_apply.is_empty() {
-            return;
-        }
-        let applied = self.applied_index;
-        let ready: Vec<PendingReadAnswer> = {
-            let (ready, waiting) = std::mem::take(&mut self.reads_awaiting_apply)
-                .into_iter()
-                .partition(|r| r.floor <= applied);
-            self.reads_awaiting_apply = waiting;
-            ready
-        };
-        for r in ready {
-            self.respond_client(
-                r.reply_to,
-                r.session,
-                r.seq,
-                ClientOutcome::ReadOk {
-                    scope: LogScope::Global,
-                    commit_floor: r.floor,
-                },
-                out,
-            );
-        }
-    }
-
-    /// Emits a linearizable read's answer — immediately when the applied
-    /// state already covers the admission floor (always true inline), queued
-    /// behind the apply pipeline otherwise, so the client can never observe
-    /// state older than the floor its read was admitted at.
-    fn answer_read(
-        &mut self,
-        reply_to: NodeId,
-        session: SessionId,
-        seq: u64,
-        floor: LogIndex,
-        out: &mut Actions<RaftMessage>,
-    ) {
-        if floor <= self.applied_index {
-            self.respond_client(
-                reply_to,
-                session,
-                seq,
-                ClientOutcome::ReadOk {
-                    scope: LogScope::Global,
-                    commit_floor: floor,
-                },
-                out,
-            );
-        } else {
-            self.reads_awaiting_apply.push(PendingReadAnswer {
-                reply_to,
-                session,
-                seq,
-                floor,
-            });
-        }
-    }
-
-    /// Deterministic session expiry (per committed index, in committed log
-    /// distance): every replica applies the identical eviction sequence, so
-    /// the digest fold keeps snapshots convergent.
-    fn evict_idle_sessions(&mut self, at: LogIndex, out: &mut Actions<RaftMessage>) {
-        for session in self.sessions.evict_idle(at, self.timing.session_ttl) {
-            self.state_digest = wire::fold_session_evicted(self.state_digest, session);
-            out.observe(Observation::SessionEvicted {
-                scope: LogScope::Global,
-                session,
-                at,
-            });
-        }
-    }
-
-    /// Compacts the committed prefix into a snapshot once its retained
-    /// length exceeds [`Timing::snapshot_threshold`]. Every role compacts —
-    /// the committed prefix is immutable everywhere — so per-site log
-    /// residency stays bounded, not just the leader's.
-    fn maybe_compact(&mut self, out: &mut Actions<RaftMessage>) {
-        let threshold = self.timing.snapshot_threshold;
-        if threshold == 0 {
-            return;
-        }
-        let horizon = self.log.compacted_through();
-        // Compaction is bounded by the *applied* prefix, not the committed
-        // one: the snapshot captures digest + session table, which are
-        // apply-time state. Inline, applied == committed here; pipelined,
-        // compaction simply runs at the drain stage.
-        let retained_decided = self.applied_index.as_u64().saturating_sub(horizon.as_u64());
-        if retained_decided <= threshold {
-            return;
-        }
-        // Classic Raft logs are dense, so the whole decided prefix is
-        // contiguous; compact_to would clamp at a hole regardless.
-        let through = self.applied_index;
-        let snapshot = Snapshot {
-            scope: LogScope::Global,
-            last_index: through,
-            last_term: self.log.term_at(through),
-            config: self.config_for_snapshot(through),
-            state: Snapshot::digest_state(self.state_digest),
-            sessions: self.sessions.clone(),
-        };
-        out.persist(PersistCmd::InstallSnapshot {
-            snapshot: snapshot.clone(),
-        });
-        self.log.compact_to(through);
-        self.snapshot = Some(snapshot);
-        out.observe(Observation::LogCompacted {
-            scope: LogScope::Global,
-            through,
-            retained: self.log.len(),
-        });
-    }
-
-    /// The configuration in force at `through`: the current configuration
-    /// when its entry sits at or below the cut, otherwise the newest config
-    /// entry inside the retained prefix (falling back to the previous
-    /// snapshot's, then the bootstrap configuration).
-    fn config_for_snapshot(&self, through: LogIndex) -> Configuration {
-        if self.config_index <= through {
-            return self.config.clone();
-        }
-        let mut cfg = self.snapshot.as_ref().map(|s| s.config.clone());
-        for (_, e) in self.log.range(self.log.first_index(), through) {
-            if let Some(c) = e.as_config() {
-                cfg = Some(c.clone());
-            }
-        }
-        cfg.unwrap_or_else(|| self.config.clone())
-    }
-
-    /// Applies one committed entry to the (simulated) state machine: the
-    /// session table for writes, plus proposer/gateway notifications.
-    fn apply_committed_entry(
-        &mut self,
-        index: LogIndex,
-        entry: &LogEntry,
-        out: &mut Actions<RaftMessage>,
-    ) {
-        let (session, seq, is_register) = match &entry.payload {
-            Payload::Write { session, seq, .. } => (*session, *seq, false),
-            Payload::Register { session } => (*session, 1, true),
-            _ => {
-                if entry.id.proposer == self.id {
-                    self.pending.remove(&entry.id);
-                }
-                return;
-            }
-        };
-        // Apply-time expiry check — authoritative (the table covers every
-        // commit below `index`): a committed duplicate placement that
-        // outlived its session's eviction must not re-apply. Identical on
-        // every replica, no digest fold; the proposer/gateway is still
-        // notified through the normal path below. A registration is exempt:
-        // it carries no value, so re-applying one past an eviction merely
-        // re-opens an empty session — exactly the property that lets
-        // registered sessions close the seq-1 boundary window.
-        let outcome = if !is_register
-            && self.timing.session_ttl > 0
-            && self.sessions.is_expired_retry(session, seq)
-        {
-            ClientOutcome::SessionExpired
-        } else {
-            // Exactly-once apply: the dedup table is part of applied state,
-            // so every replica — including one that recovered from a
-            // snapshot + suffix — makes the same first-application decision.
-            match self.sessions.apply(session, seq, index) {
-                SessionApply::Applied => {
-                    self.state_digest = fold_session_digest(self.state_digest, session, seq);
-                    out.observe(Observation::SessionApplied {
-                        scope: LogScope::Global,
-                        session,
-                        seq,
-                        index,
-                    });
-                    if is_register {
-                        ClientOutcome::Registered { session, index }
-                    } else {
-                        ClientOutcome::Committed { index }
-                    }
-                }
-                SessionApply::Duplicate { first_index } => {
-                    out.observe(Observation::SessionDuplicate {
-                        scope: LogScope::Global,
-                        session,
-                        seq,
-                        first_index,
-                    });
-                    if is_register {
-                        ClientOutcome::Registered {
-                            session,
-                            index: first_index,
-                        }
-                    } else {
-                        ClientOutcome::Duplicate { first_index }
-                    }
-                }
-            }
-        };
-        if entry.id.proposer == self.id {
-            self.pending.remove(&entry.id);
-        }
-        if self.client_writes.contains_key(&(session, seq)) {
-            // The gateway observes its own commit: answer the client here.
-            self.respond_client(self.id, session, seq, outcome, out);
-        } else if self.role == Role::Leader && entry.id.proposer != self.id {
-            // "The leader then notifies the proposer" — covers gateways that
-            // lag behind the commit (they ignore non-pending replies).
-            out.send(
-                entry.id.proposer,
-                RaftMessage::ClientReply {
-                    session,
-                    seq,
-                    outcome,
-                },
-            );
-        }
-    }
-
-    /// Answers a client request: as an observation when the gateway is this
-    /// node, as a [`RaftMessage::ClientReply`] otherwise.
-    fn respond_client(
-        &mut self,
-        to: NodeId,
-        session: SessionId,
-        seq: u64,
-        outcome: ClientOutcome,
-        out: &mut Actions<RaftMessage>,
-    ) {
-        if to == self.id {
-            if let Some(id) = self.client_writes.remove(&(session, seq)) {
-                self.pending.remove(&id);
-            }
-            self.client_reads.remove(&(session, seq));
-            out.observe(Observation::ClientResponse {
-                session,
-                seq,
-                outcome,
-            });
-        } else {
-            out.send(
-                to,
-                RaftMessage::ClientReply {
-                    session,
-                    seq,
-                    outcome,
-                },
-            );
-        }
-    }
-
-    /// `true` when this node's applied session table provably covers every
-    /// write the cluster has ever committed: it is the leader and an entry
-    /// of its own term has committed (the shared
-    /// [`wire::session_state_current`] condition). Only then is a
-    /// door-level [`SessionTable::is_expired_retry`] verdict exact; on any
-    /// other node (or a fresh leader before its first own-term commit) the
-    /// table may simply lag and "expired" can be a false positive for a
-    /// perfectly live session.
-    fn applied_session_state_current(&self) -> bool {
-        self.role == Role::Leader
-            // Pipelined apply: the table only covers the *applied* prefix;
-            // while the queue is non-empty the door verdict stays inexact
-            // (answers degrade to Retry, never a wrong terminal refusal).
-            && self.applied_index == self.commit_index
-            && session_state_current(&self.log, self.commit_index, self.current_term)
+        self.core.maybe_compact(out);
+        self.core.release_applied_reads(out);
     }
 
     fn on_propose(
@@ -1007,35 +545,19 @@ impl RaftNode {
         data: Bytes,
         out: &mut Actions<RaftMessage>,
     ) {
-        if self.role != Role::Leader {
-            if from != self.id {
-                out.send(
-                    from,
-                    RaftMessage::ClientReply {
-                        session,
-                        seq,
-                        outcome: ClientOutcome::Redirect {
-                            leader_hint: self.leader_hint,
-                        },
-                    },
-                );
+        if self.core.role != Role::Leader {
+            if from != self.core.id {
+                self.core.redirect(from, session, seq, out);
             }
             return;
         }
         // Session dedup at the door: a seq the applied state already covers
         // is answered without touching the log — this is what survives
         // compaction and leader restarts (the table rides in the snapshot).
-        if let Some(first_index) = self.sessions.duplicate_of(session, seq) {
-            self.respond_client(
-                from,
-                session,
-                seq,
-                ClientOutcome::Duplicate { first_index },
-                out,
-            );
+        if self.core.answer_applied(from, session, seq, false, out) {
             return;
         }
-        if self.id_index.contains_key(&id) {
+        if self.core.id_index.contains_key(&id) {
             // In-flight duplicate (gateway retried): already replicating.
             return;
         }
@@ -1053,19 +575,19 @@ impl RaftNode {
         // terminal (re-sending the same seq would loop forever), and any
         // same-pair placement still in the log under a different proposal
         // id is skipped by the authoritative apply-time check.
-        if self.timing.session_ttl > 0 && self.sessions.is_expired_retry(session, seq) {
-            let outcome = if self.applied_session_state_current() {
+        if self.core.timing.session_ttl > 0 && self.core.sessions.is_expired_retry(session, seq) {
+            let outcome = if self.core.applied_session_state_current() {
                 ClientOutcome::SessionExpired
             } else {
                 ClientOutcome::Retry
             };
-            self.respond_client(from, session, seq, outcome, out);
+            self.core.respond_client(from, session, seq, outcome, out);
             return;
         }
         // In-flight duplicate under a *different* proposal id (the gateway
         // restarted and re-submitted the same session seq): let it through —
         // apply-time dedup keeps the second commit a no-op.
-        let entry = LogEntry::write(self.current_term, id, session, seq, data);
+        let entry = LogEntry::write(self.core.current_term, id, session, seq, data);
         self.leader_append(entry, out);
         // Dispatch stays heartbeat-gated; the entry travels on the next tick.
     }
@@ -1075,29 +597,22 @@ impl RaftNode {
     /// eviction can never leave a re-appliable *data* write at the
     /// session's boundary (see [`ClientOp::Register`]).
     fn leader_register(&mut self, id: EntryId, session: SessionId, out: &mut Actions<RaftMessage>) {
-        debug_assert_eq!(self.role, Role::Leader);
+        debug_assert_eq!(self.core.role, Role::Leader);
         // Idempotent re-register: seq 1 already applied for this session.
-        if let Some(first_index) = self.sessions.duplicate_of(session, 1) {
-            self.respond_client(
-                self.id,
-                session,
-                1,
-                ClientOutcome::Registered {
-                    session,
-                    index: first_index,
-                },
-                out,
-            );
+        if self
+            .core
+            .answer_applied(self.core.id, session, 1, true, out)
+        {
             return;
         }
-        if self.id_index.contains_key(&id) {
+        if self.core.id_index.contains_key(&id) {
             // Already replicating (gateway retry).
             return;
         }
         // No expired-retry door: re-registering an evicted session is
         // harmless by construction — the registration carries no value, so
         // re-applying it merely re-opens an empty dedup window.
-        let entry = LogEntry::register(self.current_term, id, session);
+        let entry = LogEntry::register(self.core.current_term, id, session);
         self.leader_append(entry, out);
     }
 
@@ -1105,8 +620,9 @@ impl RaftNode {
     // Linearizable reads (ReadIndex)
     // ------------------------------------------------------------------
 
-    /// Leader side of a linearizable read: capture the commit floor, then
-    /// confirm leadership with a heartbeat round before answering.
+    /// Leader side of a linearizable read: once an entry of this term has
+    /// committed, the core serves the commit floor under the lease or
+    /// confirms leadership with a heartbeat round before answering.
     fn register_read(
         &mut self,
         session: SessionId,
@@ -1114,84 +630,19 @@ impl RaftNode {
         reply_to: NodeId,
         out: &mut Actions<RaftMessage>,
     ) {
-        debug_assert_eq!(self.role, Role::Leader);
+        debug_assert_eq!(self.core.role, Role::Leader);
         // A fresh leader's commit floor may lag entries committed by its
         // predecessor until the no-op of its own term commits (Raft §8):
         // until then the floor must not be served.
-        if self.log.term_at(self.commit_index) != self.current_term {
-            self.respond_client(reply_to, session, seq, ClientOutcome::Retry, out);
+        if self.core.log.term_at(self.core.commit_index) != self.core.current_term {
+            self.core
+                .respond_client(reply_to, session, seq, ClientOutcome::Retry, out);
             return;
         }
-        let floor = self.commit_index;
-        // Lease fast path: a classic quorum of live grants proves no rival
-        // can have been elected, so the current commit floor is linearizable
-        // to serve locally — zero messages, zero round trips (see
-        // `docs/CONSISTENCY.md` for the safety argument).
-        if self
-            .lease
-            .valid_at(self.local_now, &self.config, self.id, self.timing.max_clock_skew)
-        {
-            out.observe(Observation::LeaseRead {
-                session,
-                seq,
-                floor,
-            });
-            self.answer_read(reply_to, session, seq, floor, out);
-            return;
-        }
-        if self.config.classic_quorum() <= 1 {
-            // A single-voter configuration confirms itself.
-            out.observe(Observation::ReadIndexRead {
-                session,
-                seq,
-                floor,
-            });
-            self.answer_read(reply_to, session, seq, floor, out);
-            return;
-        }
-        // Retry idempotence (see `wire::ReadIndexQueue::is_pending`): the
-        // pending round answers the retry too; just re-probe for liveness.
-        if self.reads.is_pending(session, seq, reply_to) {
-            self.dispatch_append_entries(out);
-            return;
-        }
-        self.reads.register(session, seq, reply_to, floor);
         // Confirm now rather than waiting out the heartbeat period.
-        self.dispatch_append_entries(out);
-    }
-
-    /// Counts a follower's heartbeat ack toward pending ReadIndex rounds.
-    fn note_read_ack(&mut self, from: NodeId, probe: u64, out: &mut Actions<RaftMessage>) {
-        for r in self.reads.note_ack(from, probe, &self.config, self.id) {
-            out.observe(Observation::ReadIndexRead {
-                session: r.session,
-                seq: r.seq,
-                floor: r.floor,
-            });
-            self.answer_read(r.reply_to, r.session, r.seq, r.floor, out);
+        if self.core.admit_read(session, seq, reply_to, out) {
+            self.dispatch_append_entries(out);
         }
-    }
-
-    /// Fails every pending ReadIndex round with `Retry` (leadership lost or
-    /// re-confirmed under a different term).
-    fn fail_pending_reads(&mut self, out: &mut Actions<RaftMessage>) {
-        for r in self.reads.drain() {
-            self.respond_client(r.reply_to, r.session, r.seq, ClientOutcome::Retry, out);
-        }
-    }
-
-    /// Follower-side lease grant riding a successful append ack: a promise
-    /// not to vote for anyone but `leader` before `now + lease_duration` on
-    /// this node's clock, enforced locally via [`VoteHold`]. Returns
-    /// [`SimTime::ZERO`] (no grant) when this node is clockless or leases
-    /// are disabled.
-    fn emit_lease_grant(&mut self, leader: NodeId) -> SimTime {
-        if self.local_now == SimTime::ZERO || self.timing.lease_duration.is_zero() {
-            return SimTime::ZERO;
-        }
-        let until = self.local_now + self.timing.lease_duration;
-        self.vote_hold.note_grant(leader, until);
-        until
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -1207,11 +658,11 @@ impl RaftNode {
         probe: u64,
         out: &mut Actions<RaftMessage>,
     ) {
-        if term < self.current_term {
+        if term < self.core.current_term {
             out.send(
                 from,
                 RaftMessage::AppendEntriesReply {
-                    term: self.current_term,
+                    term: self.core.current_term,
                     success: false,
                     match_index: LogIndex::ZERO,
                     probe: 0,
@@ -1221,29 +672,29 @@ impl RaftNode {
             return;
         }
         // Valid leader for this (possibly newer) term.
-        if term > self.current_term || self.role != Role::Follower {
+        if term > self.core.current_term || self.core.role != Role::Follower {
             self.become_follower(term, Some(leader), out);
         } else {
-            self.leader_hint = Some(leader);
+            self.core.leader_hint = Some(leader);
             self.reset_election_timer(out);
         }
 
         // Log-matching check.
-        if !prev_index.is_zero() && self.log.term_at(prev_index) != prev_term {
+        if !prev_index.is_zero() && self.core.log.term_at(prev_index) != prev_term {
             out.send(
                 from,
                 RaftMessage::AppendEntriesReply {
-                    term: self.current_term,
+                    term: self.core.current_term,
                     success: false,
                     // Safe resume hint: everything committed here matches the
                     // leader (Invariant 1), so the leader can restart there.
-                    match_index: self.commit_index,
+                    match_index: self.core.commit_index,
                     probe,
                     // Even a failed append came from the valid leader of this
                     // term (checked above), so the vote-hold grant is sound —
                     // it keeps a briefly log-diverged follower from voiding
                     // its leader's lease mid-repair.
-                    lease_until: self.emit_lease_grant(leader),
+                    lease_until: self.core.emit_lease_grant(leader),
                 },
             );
             return;
@@ -1255,8 +706,13 @@ impl RaftNode {
         // must be dropped, not allocated. Classic-Raft entries are
         // contiguous from prev_index, so a jump past the window is
         // malformed — stop processing the batch there.
-        let insert_bound =
-            self.log.last_index().as_u64().max(self.commit_index.as_u64()) + MAX_INSERT_WINDOW;
+        let insert_bound = self
+            .core
+            .log
+            .last_index()
+            .as_u64()
+            .max(self.core.commit_index.as_u64())
+            + MAX_INSERT_WINDOW;
         let mut last_new = prev_index;
         for (idx, entry) in entries.iter() {
             if idx.as_u64() > insert_bound {
@@ -1265,8 +721,8 @@ impl RaftNode {
             // Entries at or below the commit index are already decided
             // (and possibly compacted away); writing there is never needed
             // and would violate the compaction horizon.
-            if *idx > self.commit_index && self.log.term_at(*idx) != entry.term {
-                if self.log.get(*idx).is_some() {
+            if *idx > self.core.commit_index && self.core.log.term_at(*idx) != entry.term {
+                if self.core.log.get(*idx).is_some() {
                     self.truncate_from(*idx, out);
                 }
                 self.insert_entry(*idx, entry.clone(), out);
@@ -1274,7 +730,7 @@ impl RaftNode {
             last_new = *idx;
         }
 
-        if leader_commit > self.commit_index {
+        if leader_commit > self.core.commit_index {
             let new_commit = leader_commit.min(last_new);
             self.set_commit_index(new_commit, out);
         }
@@ -1282,11 +738,11 @@ impl RaftNode {
         out.send(
             from,
             RaftMessage::AppendEntriesReply {
-                term: self.current_term,
+                term: self.core.current_term,
                 success: true,
                 match_index: last_new,
                 probe,
-                lease_until: self.emit_lease_grant(leader),
+                lease_until: self.core.emit_lease_grant(leader),
             },
         );
     }
@@ -1302,28 +758,14 @@ impl RaftNode {
         lease_until: SimTime,
         out: &mut Actions<RaftMessage>,
     ) {
-        if term > self.current_term {
+        if term > self.core.current_term {
             self.become_follower(term, None, out);
             return;
         }
-        if self.role != Role::Leader || term < self.current_term {
+        if self.core.role != Role::Leader || term < self.core.current_term {
             return;
         }
-        // Collect the follower's lease grant (success or not — the promise
-        // is about voting, not log state). A rejected grant means the
-        // granter's clock runs ahead beyond the modeled bound: the lease
-        // quietly degrades to the ReadIndex fallback rather than counting it.
-        if !self.lease.record_grant(
-            from,
-            lease_until,
-            self.local_now,
-            self.timing.lease_duration,
-            self.timing.max_clock_skew,
-        ) {
-            out.observe(Observation::MessageIgnored {
-                reason: "lease grant beyond clock-skew bound",
-            });
-        }
+        self.core.record_lease_grant(from, lease_until, out);
         if success {
             let m = self.match_index.entry(from).or_insert(LogIndex::ZERO);
             if match_index > *m {
@@ -1333,7 +775,7 @@ impl RaftNode {
             self.advance_commit(out);
             // A current-term ack confirms leadership for ReadIndex rounds
             // registered at or before the echoed probe.
-            self.note_read_ack(from, probe, out);
+            self.core.note_read_ack(from, probe, out);
         } else {
             // Back off using the follower's hint (its commit index).
             self.next_index.insert(from, match_index.next());
@@ -1350,108 +792,26 @@ impl RaftNode {
         snapshot: Snapshot,
         out: &mut Actions<RaftMessage>,
     ) {
-        if term < self.current_term {
-            out.send(
-                from,
-                RaftMessage::InstallSnapshotReply {
-                    term: self.current_term,
-                    last_index: LogIndex::ZERO,
-                },
-            );
+        if term < self.core.current_term {
+            self.core.ack_snapshot(from, LogIndex::ZERO, out);
             return;
         }
-        if term > self.current_term || self.role != Role::Follower {
+        if term > self.core.current_term || self.core.role != Role::Follower {
             self.become_follower(term, Some(leader), out);
         } else {
-            self.leader_hint = Some(leader);
+            self.core.leader_hint = Some(leader);
             self.reset_election_timer(out);
         }
-        let last_index = snapshot.last_index;
-        if last_index <= self.commit_index {
-            // Stale transfer: everything it covers is already committed
-            // here. Ack our actual coverage so the leader resumes higher.
-            out.send(
-                from,
-                RaftMessage::InstallSnapshotReply {
-                    term: self.current_term,
-                    last_index: self.commit_index,
-                },
-            );
+        let Some(adopt_config) = self.core.begin_snapshot_install(from, &snapshot, out) else {
             return;
+        };
+        let last_index = snapshot.last_index;
+        if adopt_config {
+            self.core.config = snapshot.config.clone();
+            self.core.config_index = last_index;
         }
-        let old_commit = self.commit_index;
-        out.persist(PersistCmd::InstallSnapshot {
-            snapshot: snapshot.clone(),
-        });
-        self.log.install_snapshot(last_index, snapshot.last_term);
-        // Drop id mappings for entries the install discarded. Only mappings
-        // at or below the *pre-install* commit index are known committed
-        // (and may keep answering duplicate proposals as such) — an
-        // uncommitted entry from a deposed leader's fork must not be
-        // reported committed.
-        let log = &self.log;
-        self.id_index
-            .retain(|_, idx| *idx <= old_commit || log.get(*idx).is_some());
-        // Adopt the snapshot's configuration unless a *surviving* config
-        // entry above the horizon supersedes it; a config entry the install
-        // discarded (conflicting suffix) must no longer be obeyed.
-        if self.config_index <= last_index || self.log.get(self.config_index).is_none() {
-            self.config = snapshot.config.clone();
-            self.config_index = last_index;
-        }
-        if let Some(digest) = snapshot.state_digest() {
-            self.state_digest = digest;
-        }
-        // Adopt the applied session state: the snapshot's table covers
-        // strictly more commits than ours (last_index > old commit). The
-        // apply pipeline fast-forwards with it — the snapshot state already
-        // subsumes any queued-but-undrained range, whose entries the
-        // install just discarded.
-        self.sessions = snapshot.sessions.clone();
-        self.commit_index = last_index;
-        self.applied_index = last_index;
-        self.snapshot = Some(snapshot);
-        out.observe(Observation::SnapshotInstalled {
-            scope: LogScope::Global,
-            last_index,
-        });
-        // Gateway sweep: writes submitted here whose application the
-        // install fast-forwarded past must still be answered.
-        self.sweep_client_pending(out);
-        self.release_applied_reads(out);
-        out.send(
-            from,
-            RaftMessage::InstallSnapshotReply {
-                term: self.current_term,
-                last_index,
-            },
-        );
-    }
-
-    /// Answers any locally pending write the session table now covers (a
-    /// snapshot install can jump the commit floor across its application).
-    fn sweep_client_pending(&mut self, out: &mut Actions<RaftMessage>) {
-        let done: Vec<(SessionId, u64, LogIndex, bool)> = self
-            .client_writes
-            .iter()
-            .filter_map(|(&(s, q), id)| {
-                self.sessions.duplicate_of(s, q).map(|idx| {
-                    let reg = self.pending.get(id).is_some_and(|w| w.register);
-                    (s, q, idx, reg)
-                })
-            })
-            .collect();
-        for (session, seq, first_index, register) in done {
-            let outcome = if register {
-                ClientOutcome::Registered {
-                    session,
-                    index: first_index,
-                }
-            } else {
-                ClientOutcome::Duplicate { first_index }
-            };
-            self.respond_client(self.id, session, seq, outcome, out);
-        }
+        self.core.finish_snapshot_install(snapshot, out);
+        self.core.ack_snapshot(from, last_index, out);
     }
 
     fn on_install_snapshot_reply(
@@ -1461,11 +821,11 @@ impl RaftNode {
         last_index: LogIndex,
         out: &mut Actions<RaftMessage>,
     ) {
-        if term > self.current_term {
+        if term > self.core.current_term {
             self.become_follower(term, None, out);
             return;
         }
-        if self.role != Role::Leader || term < self.current_term {
+        if self.core.role != Role::Leader || term < self.core.current_term {
             return;
         }
         let m = self.match_index.entry(from).or_insert(LogIndex::ZERO);
@@ -1485,67 +845,38 @@ impl RaftNode {
         last_log_term: Term,
         out: &mut Actions<RaftMessage>,
     ) {
-        if !self.config.contains(candidate) {
-            out.observe(Observation::MessageIgnored {
-                reason: "vote request from non-member",
-            });
+        // Non-members, lease holds and leaders with a live lease drop the
+        // request without adopting its term.
+        if self.core.refuses_vote_request(candidate, out) {
             return;
         }
-        // Lease hold: the ack this node last sent carried a promise not to
-        // elect anyone but its leader before `until` on this clock. The
-        // request is dropped *without* adopting the candidate's term — a
-        // partitioned candidate's term inflation must not depose a leader
-        // whose lease a quorum still backs. The hold provably expires
-        // before this node's own election timer can fire
-        // (`Timing::validate` pins lease + skew ≤ election_min), so a dead
-        // leader still gets replaced.
-        if self.vote_hold.blocks(candidate, self.local_now) {
-            out.observe(Observation::MessageIgnored {
-                reason: "vote request during lease hold",
-            });
-            return;
-        }
-        // A leader whose own lease is live refuses too, again without
-        // adopting the term: a quorum is promising not to elect anyone
-        // else, so the candidate provably cannot win — stepping down would
-        // only forfeit the lease's availability for nothing.
-        if self.role == Role::Leader
-            && self
-                .lease
-                .valid_at(self.local_now, &self.config, self.id, self.timing.max_clock_skew)
-        {
-            out.observe(Observation::MessageIgnored {
-                reason: "vote request at leader with live lease",
-            });
-            return;
-        }
-        if term < self.current_term {
+        if term < self.core.current_term {
             out.send(
                 from,
                 RaftMessage::RequestVoteReply {
-                    term: self.current_term,
+                    term: self.core.current_term,
                     granted: false,
                 },
             );
             return;
         }
-        if term > self.current_term {
+        if term > self.core.current_term {
             self.become_follower(term, None, out);
         }
-        let my_last = self.log.last_index();
-        let my_last_term = self.log.term_at(my_last);
+        let my_last = self.core.log.last_index();
+        let my_last_term = self.core.log.term_at(my_last);
         let up_to_date = (last_log_term, last_log_index) >= (my_last_term, my_last);
-        let can_vote = self.voted_for.is_none() || self.voted_for == Some(candidate);
+        let can_vote = self.core.voted_for.is_none() || self.core.voted_for == Some(candidate);
         let granted = up_to_date && can_vote;
         if granted {
-            self.voted_for = Some(candidate);
-            self.persist_term_vote(out);
+            self.core.voted_for = Some(candidate);
+            self.core.persist_term_vote(out);
             self.reset_election_timer(out);
         }
         out.send(
             from,
             RaftMessage::RequestVoteReply {
-                term: self.current_term,
+                term: self.core.current_term,
                 granted,
             },
         );
@@ -1558,11 +889,11 @@ impl RaftNode {
         granted: bool,
         out: &mut Actions<RaftMessage>,
     ) {
-        if term > self.current_term {
+        if term > self.core.current_term {
             self.become_follower(term, None, out);
             return;
         }
-        if self.role != Role::Candidate || term < self.current_term || !granted {
+        if self.core.role != Role::Candidate || term < self.core.current_term || !granted {
             return;
         }
         self.votes.insert(from);
@@ -1570,18 +901,19 @@ impl RaftNode {
     }
 
     fn resend_pending(&mut self, out: &mut Actions<RaftMessage>) {
-        if self.pending.is_empty() {
+        if self.core.proposals.is_empty() {
             return;
         }
         let proposals: Vec<(EntryId, PendingWrite)> = self
-            .pending
+            .core
+            .proposals
             .iter()
             .map(|(id, w)| (*id, w.clone()))
             .collect();
         for (id, w) in proposals {
             self.route_write(id, w, out);
         }
-        out.set_timer(TimerKind::ProposalRetry, self.timing.proposal_timeout);
+        out.set_timer(TimerKind::ProposalRetry, self.core.timing.proposal_timeout);
     }
 
     /// Routes an in-flight session write: straight into the log at the
@@ -1592,24 +924,24 @@ impl RaftNode {
             // Registration is leader-only: the Propose message carries no op
             // kind, so a non-leader gateway surfaces a redirect and the
             // client re-targets the hinted leader itself.
-            if self.role == Role::Leader {
+            if self.core.role == Role::Leader {
                 self.leader_register(id, w.session, out);
             } else {
-                self.respond_client(
-                    self.id,
+                self.core.respond_client(
+                    self.core.id,
                     w.session,
                     w.seq,
                     ClientOutcome::Redirect {
-                        leader_hint: self.leader_hint,
+                        leader_hint: self.core.leader_hint,
                     },
                     out,
                 );
             }
             return;
         }
-        if self.role == Role::Leader {
-            self.on_propose(self.id, id, w.session, w.seq, w.data, out);
-        } else if let Some(leader) = self.leader_hint {
+        if self.core.role == Role::Leader {
+            self.on_propose(self.core.id, id, w.session, w.seq, w.data, out);
+        } else if let Some(leader) = self.core.leader_hint {
             out.send(
                 leader,
                 RaftMessage::Propose {
@@ -1620,7 +952,7 @@ impl RaftNode {
                 },
             );
         } else {
-            let peers: Vec<NodeId> = self.config.peers(self.id).collect();
+            let peers: Vec<NodeId> = self.core.config.peers(self.core.id).collect();
             out.send_many(
                 peers,
                 RaftMessage::Propose {
@@ -1632,55 +964,17 @@ impl RaftNode {
             );
         }
     }
-
-    /// Gateway handling of a typed outcome arriving from another node.
-    fn on_client_reply(
-        &mut self,
-        session: SessionId,
-        seq: u64,
-        outcome: ClientOutcome,
-        out: &mut Actions<RaftMessage>,
-    ) {
-        if let ClientOutcome::Redirect { leader_hint } = &outcome {
-            if let Some(hint) = leader_hint {
-                self.leader_hint = Some(*hint);
-            }
-            // A redirected *write* stays pending: the ProposalRetry timer
-            // resubmits it against the updated hint. Re-routing here
-            // synchronously would ping-pong at network RTT against a
-            // deposed leader that still hints itself (and broadcast-storm
-            // while no hint exists).
-            if self.client_writes.contains_key(&(session, seq)) {
-                return;
-            }
-            // A redirected read surfaces to the caller, who retries against
-            // the (now updated) hint.
-            if self.client_reads.remove(&(session, seq)) {
-                out.observe(Observation::ClientResponse {
-                    session,
-                    seq,
-                    outcome,
-                });
-            }
-            return;
-        }
-        let was_write = self.client_writes.contains_key(&(session, seq));
-        let was_read = self.client_reads.contains(&(session, seq));
-        if was_write || was_read {
-            self.respond_client(self.id, session, seq, outcome, out);
-        }
-    }
 }
 
 impl ConsensusProtocol for RaftNode {
     type Message = RaftMessage;
 
     fn id(&self) -> NodeId {
-        self.id
+        self.core.id
     }
 
     fn set_local_clock(&mut self, now: SimTime) {
-        self.local_now = now;
+        self.core.local_now = now;
     }
 
     fn on_message(&mut self, from: NodeId, msg: RaftMessage, out: &mut Actions<RaftMessage>) {
@@ -1692,7 +986,7 @@ impl ConsensusProtocol for RaftNode {
             | RaftMessage::ClientRead { .. }
             | RaftMessage::ClientReply { .. } => {}
             _ => {
-                if !self.config.contains(from) && !self.learners.contains(&from) {
+                if !self.core.config.contains(from) && !self.learners.contains(&from) {
                     out.observe(Observation::MessageIgnored {
                         reason: "sender not in configuration",
                     });
@@ -1708,26 +1002,17 @@ impl ConsensusProtocol for RaftNode {
                 data,
             } => self.on_propose(from, id, session, seq, data, out),
             RaftMessage::ClientRead { session, seq } => {
-                if self.role == Role::Leader {
+                if self.core.role == Role::Leader {
                     self.register_read(session, seq, from, out);
                 } else {
-                    out.send(
-                        from,
-                        RaftMessage::ClientReply {
-                            session,
-                            seq,
-                            outcome: ClientOutcome::Redirect {
-                                leader_hint: self.leader_hint,
-                            },
-                        },
-                    );
+                    self.core.redirect(from, session, seq, out);
                 }
             }
             RaftMessage::ClientReply {
                 session,
                 seq,
                 outcome,
-            } => self.on_client_reply(session, seq, outcome, out),
+            } => self.core.on_client_reply(session, seq, outcome, out),
             RaftMessage::AppendEntries {
                 term,
                 leader,
@@ -1776,15 +1061,13 @@ impl ConsensusProtocol for RaftNode {
 
     fn on_timer(&mut self, kind: TimerKind, out: &mut Actions<RaftMessage>) {
         match kind {
-            TimerKind::Election
-                if self.role != Role::Leader => {
-                    self.start_election(out);
-                }
-            TimerKind::Heartbeat
-                if self.role == Role::Leader => {
-                    self.dispatch_append_entries(out);
-                    out.set_timer(TimerKind::Heartbeat, self.timing.heartbeat);
-                }
+            TimerKind::Election if self.core.role != Role::Leader => {
+                self.start_election(out);
+            }
+            TimerKind::Heartbeat if self.core.role == Role::Leader => {
+                self.dispatch_append_entries(out);
+                out.set_timer(TimerKind::Heartbeat, self.core.timing.heartbeat);
+            }
             TimerKind::ProposalRetry => self.resend_pending(out),
             _ => {}
         }
@@ -1795,92 +1078,58 @@ impl ConsensusProtocol for RaftNode {
         match op {
             ClientOp::Write(data) => {
                 // Applied already? Answer without proposing (retry-safe).
-                if let Some(first_index) = self.sessions.duplicate_of(session, seq) {
-                    self.respond_client(
-                        self.id,
-                        session,
-                        seq,
-                        ClientOutcome::Duplicate { first_index },
-                        out,
-                    );
-                    return;
-                }
-                if self.client_writes.contains_key(&(session, seq)) {
-                    // Already in flight: the retry timer keeps pushing it.
-                    out.set_timer(TimerKind::ProposalRetry, self.timing.proposal_timeout);
-                    return;
-                }
-                // Stale write from an expired session: the terminal refusal
-                // is only exact when this gateway happens to be the leader
-                // with a provably current applied table (see `on_propose`).
-                // Any other gateway's table may simply lag the commit
-                // sequence, so it must not refuse — the write is placed and
-                // routed to the leader, whose door (or the authoritative
-                // apply-time check) rules, relayed back via ClientReply.
-                if self.timing.session_ttl > 0
-                    && self.sessions.is_expired_retry(session, seq)
-                    && self.applied_session_state_current()
+                if self
+                    .core
+                    .answer_applied(self.core.id, session, seq, false, out)
                 {
-                    self.respond_client(
-                        self.id,
-                        session,
-                        seq,
-                        ClientOutcome::SessionExpired,
-                        out,
-                    );
                     return;
                 }
-                let id = self.fresh_id(out);
+                if self.core.client_writes.contains_key(&(session, seq)) {
+                    // Already in flight: the retry timer keeps pushing it.
+                    out.set_timer(TimerKind::ProposalRetry, self.core.timing.proposal_timeout);
+                    return;
+                }
+                if self.core.refuses_expired_write(session, seq, out) {
+                    return;
+                }
+                let id = self.core.fresh_id(out);
                 let w = PendingWrite {
                     session,
                     seq,
                     data,
                     register: false,
                 };
-                self.pending.insert(id, w.clone());
-                self.client_writes.insert((session, seq), id);
+                self.core.proposals.insert(id, w.clone());
+                self.core.client_writes.insert((session, seq), id);
                 self.route_write(id, w, out);
-                out.set_timer(TimerKind::ProposalRetry, self.timing.proposal_timeout);
+                out.set_timer(TimerKind::ProposalRetry, self.core.timing.proposal_timeout);
             }
             ClientOp::Register => {
-                // Server-assigned id on request: derived from this gateway's
-                // node id and proposal counter, so concurrent registrations
-                // at different gateways cannot collide. A *retry* of an
-                // unassigned registration may open a second (unused)
-                // session; the TTL reclaims it.
-                let session = if session.is_unassigned() {
-                    SessionId::assigned(self.id, self.next_seq)
-                } else {
-                    session
-                };
-                if let Some(first_index) = self.sessions.duplicate_of(session, 1) {
-                    self.respond_client(
-                        self.id,
-                        session,
-                        1,
-                        ClientOutcome::Registered {
-                            session,
-                            index: first_index,
-                        },
-                        out,
-                    );
+                let session = self.core.registered_session(session);
+                if self
+                    .core
+                    .answer_applied(self.core.id, session, 1, true, out)
+                {
                     return;
                 }
-                if self.client_writes.contains_key(&(session, 1)) {
-                    out.set_timer(TimerKind::ProposalRetry, self.timing.proposal_timeout);
+                if self.core.client_writes.contains_key(&(session, 1)) {
+                    out.set_timer(TimerKind::ProposalRetry, self.core.timing.proposal_timeout);
                     return;
                 }
-                let id = self.fresh_id(out);
+                let id = self.core.fresh_id(out);
                 let w = PendingWrite {
                     session,
                     seq: 1,
                     data: Bytes::new(),
                     register: true,
                 };
-                self.pending.insert(id, w.clone());
-                self.client_writes.insert((session, 1), id);
+                self.core.proposals.insert(id, w.clone());
+                self.core.client_writes.insert((session, 1), id);
+                self.core
+                    .client_ops
+                    .insert((session, 1), ClientOp::Register);
                 self.route_write(id, w, out);
-                out.set_timer(TimerKind::ProposalRetry, self.timing.proposal_timeout);
+                out.set_timer(TimerKind::ProposalRetry, self.core.timing.proposal_timeout);
             }
             // A single-level deployment has one log: the local and global
             // commit floors coincide, so both stale consistencies answer
@@ -1892,16 +1141,20 @@ impl ConsensusProtocol for RaftNode {
                     seq,
                     outcome: ClientOutcome::ReadOk {
                         scope: LogScope::Global,
-                        commit_floor: self.commit_index,
+                        commit_floor: self.core.commit_index,
                     },
                 });
             }
             ClientOp::Read(Consistency::Linearizable) => {
-                if self.role == Role::Leader {
-                    self.client_reads.insert((session, seq));
-                    self.register_read(session, seq, self.id, out);
-                } else if let Some(leader) = self.leader_hint {
-                    self.client_reads.insert((session, seq));
+                if self.core.role == Role::Leader {
+                    self.core
+                        .client_ops
+                        .insert((session, seq), ClientOp::Read(Consistency::Linearizable));
+                    self.register_read(session, seq, self.core.id, out);
+                } else if let Some(leader) = self.core.leader_hint {
+                    self.core
+                        .client_ops
+                        .insert((session, seq), ClientOp::Read(Consistency::Linearizable));
                     out.send(leader, RaftMessage::ClientRead { session, seq });
                 } else {
                     // No leader known: tell the caller to retry after a
@@ -1921,7 +1174,7 @@ impl ConsensusProtocol for RaftNode {
     }
 
     fn pending_applies(&self) -> u64 {
-        self.commit_index.as_u64() - self.applied_index.as_u64()
+        self.core.commit_index.as_u64() - self.core.applied_index.as_u64()
     }
 
     fn drain_applies(&mut self, out: &mut Actions<RaftMessage>) {
